@@ -12,13 +12,13 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .model import (
+    COMBOS,
     EmbeddingKind,
     Itemset,
     NegMode,
     NegPattern,
     NegseqError,
     NonInclusion,
-    Occurrence,
     Sequence,
     SequenceDatabase,
     Theta,
@@ -29,8 +29,7 @@ from .model import (
 # one per positive itemset of the pattern it embeds.
 Embedding = tuple[int, ...]
 
-# contains() stops counting positive embeddings here; the verdict itself is
-# exact whenever enumeration finishes within the cap.
+# Only ``bench/run.py --trace 1`` reads this, to count ``matching.cap_hits``.
 DEFAULT_EMBEDDING_CAP = 10**6
 
 
@@ -50,26 +49,46 @@ def non_inclusion(p: Itemset, i: Itemset, kind: NonInclusion) -> bool:
     return p.mask & i.mask == 0
 
 
-def _iter_embeddings(pos_masks: list[int], seq_masks: list[int]) -> Iterator[Embedding]:
+def _iter_embeddings(pos_masks: list[int], seq_masks: tuple[int, ...]) -> Iterator[Embedding]:
     """All placements of the positives, in lexicographic position order."""
     m = len(pos_masks)
     n = len(seq_masks)
     if m == 0 or n < m:
         return
-    current = [0] * m
-
-    def descend(i: int, start: int) -> Iterator[Embedding]:
+    last = m - 1
+    # pos[i] is the 1-based position of positive i, which is also the 0-based
+    # index where the search for its next position resumes.
+    pos = [0] * m
+    i = j = 0
+    while True:
         pmask = pos_masks[i]
-        last = i + 1 == m
-        for j in range(start, n - (m - 1 - i)):
-            if pmask & ~seq_masks[j] == 0:
-                current[i] = j + 1
-                if last:
-                    yield tuple(current)
-                else:
-                    yield from descend(i + 1, j + 1)
+        limit = n - last + i  # leave room for the positives after i
+        while j < limit and pmask & ~seq_masks[j]:
+            j += 1
+        if j < limit:
+            j += 1
+            pos[i] = j
+            if i == last:
+                yield tuple(pos)
+            else:
+                i += 1
+        elif i:
+            i -= 1
+            j = pos[i]
+        else:
+            return
 
-    yield from descend(0, 0)
+
+def _count_embeddings(pos_masks: list[int], seq_masks: tuple[int, ...]) -> int:
+    """Number of placements of the positives, in O(k*n) mask tests."""
+    # ways[j]: placements of the positives so far within the first j itemsets.
+    ways = [1] * (len(seq_masks) + 1)
+    for pmask in pos_masks:
+        placed = [0]
+        for j, smask in enumerate(seq_masks):
+            placed.append(placed[j] + ways[j] if pmask & ~smask == 0 else placed[j])
+        ways = placed
+    return ways[-1]
 
 
 def positive_embeddings(pplus: NegPattern, s: Sequence) -> list[Embedding]:
@@ -80,11 +99,7 @@ def positive_embeddings(pplus: NegPattern, s: Sequence) -> list[Embedding]:
     """
     if any(negative.itemset for negative in pplus.negatives):
         raise ValueError("positive_embeddings expects a pattern without negatives")
-    return list(
-        _iter_embeddings(
-            [p.mask for p in pplus.positives], [it.mask for it in s.itemsets]
-        )
-    )
+    return list(_iter_embeddings([p.mask for p in pplus.positives], s.masks))
 
 
 def gap_union(s: Sequence, e: Embedding, slot: int) -> Itemset:
@@ -104,63 +119,45 @@ def gap_union(s: Sequence, e: Embedding, slot: int) -> Itemset:
     return Itemset(mask)
 
 
-def _slot_semantics(
-    mode: NegMode | None, embedding: EmbeddingKind, nonincl: NonInclusion
-) -> tuple[EmbeddingKind, NonInclusion]:
-    """Effective (embedding, non-inclusion) for one slot.
+# The combo a pinned slot mode is evaluated under, as a bit of COMBOS order.
+# TOTAL evaluates as strict, which equals soft under total non-inclusion.
+_MODE_BIT = {NegMode.STRICT_PARTIAL: 1, NegMode.SOFT_PARTIAL: 2, NegMode.TOTAL: 4}
 
-    The TOTAL mode evaluates as strict, which equals soft under total
-    non-inclusion.
+
+def _slot_pass4(qmask: int, mode: NegMode | None, gaps: tuple[int, ...]) -> int:
+    """4-bit outcome of one negative slot, bit c for the combo COMBOS[c].
+
+    Strict embedding tests the gap union, soft each gap itemset. A slot with
+    a pinned mode passes for all four combos or for none.
     """
+    union = 0
+    for g in gaps:
+        union |= g
+    if qmask & union == 0:
+        bits = 0b1111  # disjoint from every gap itemset
+    elif qmask & ~union:
+        bits = 0b0011  # partial holds on the union, so on each gap itemset
+    elif all(qmask & ~g for g in gaps):
+        bits = 0b0010  # only soft partial: no single gap itemset covers qmask
+    else:
+        bits = 0
     if mode is None:
-        return embedding, nonincl
-    if mode is NegMode.SOFT_PARTIAL:
-        return EmbeddingKind.SOFT, NonInclusion.PARTIAL
-    if mode is NegMode.STRICT_PARTIAL:
-        return EmbeddingKind.STRICT, NonInclusion.PARTIAL
-    return EmbeddingKind.STRICT, NonInclusion.TOTAL
+        return bits
+    return 0b1111 if bits & _MODE_BIT[mode] else 0
 
 
-def _slot_ok(
-    qmask: int,
-    gaps: list[int],
-    embedding: EmbeddingKind,
-    nonincl: NonInclusion,
-) -> bool:
-    if qmask == 0:
-        return True
-    if embedding is EmbeddingKind.STRICT:
-        union = 0
-        for g in gaps:
-            union |= g
-        if nonincl is NonInclusion.PARTIAL:
-            return qmask & ~union != 0
-        return qmask & union == 0
-    if nonincl is NonInclusion.PARTIAL:
-        return all(qmask & ~g for g in gaps)
-    return all(qmask & g == 0 for g in gaps)
-
-
-def _embedding_pass(
-    p: NegPattern,
-    seq_masks: list[int],
-    e: Embedding,
-    embedding: EmbeddingKind,
-    nonincl: NonInclusion,
-) -> bool:
-    for i, negative in enumerate(p.negatives):
-        qmask = negative.itemset.mask
-        if not qmask:
-            continue
-        emb, incl = _slot_semantics(negative.mode, embedding, nonincl)
-        gaps = seq_masks[e[i] : e[i + 1] - 1]
-        if not _slot_ok(qmask, gaps, emb, incl):
-            return False
-    return True
+def _pattern_parts(p: NegPattern) -> tuple[list[int], list[tuple[int, int, NegMode | None]]]:
+    """The positives' masks, and (slot, mask, mode) of each constrained slot."""
+    slots = [
+        (i, negative.itemset.mask, negative.mode)
+        for i, negative in enumerate(p.negatives)
+        if negative.itemset
+    ]
+    return [positive.mask for positive in p.positives], slots
 
 
 def _require_positive_embedding(
-    e: Embedding, p: NegPattern, seq_masks: list[int]
+    e: Embedding, p: NegPattern, seq_masks: tuple[int, ...]
 ) -> None:
     k = len(p.positives)
     n = len(seq_masks)
@@ -195,9 +192,68 @@ def check_embedding(
     otherwise). A slot with an explicit mode is evaluated under that mode
     regardless of the arguments.
     """
-    seq_masks = [it.mask for it in s.itemsets]
+    seq_masks = s.masks
     _require_positive_embedding(e, p, seq_masks)
-    return _embedding_pass(p, seq_masks, e, embedding, nonincl)
+    bit = 1 << COMBOS.index((embedding, nonincl))
+    return all(
+        _slot_pass4(qmask, mode, seq_masks[e[i] : e[i + 1] - 1]) & bit
+        for i, qmask, mode in _pattern_parts(p)[1]
+    )
+
+
+# Relation bit t is THETAS[t]: strong occurrence under COMBOS[c] is bit 2c,
+# weak is bit 2c+1. _SPREAD maps a 4-bit combo set to its strong bits.
+_SPREAD = tuple(sum(1 << 2 * c for c in range(4) if x >> c & 1) for x in range(16))
+_COMBO_SET = {bits: x for x, bits in enumerate(_SPREAD)}
+_STRONG_BITS = _SPREAD[0b1111]
+_ALL_BITS = (1 << len(THETAS)) - 1
+
+
+def _scan(
+    pos_masks: list[int],
+    slots: list[tuple[int, int, NegMode | None]],
+    seq_masks: tuple[int, ...],
+    wanted: int,
+    combo: int | None = None,
+) -> tuple[int, Embedding | None, Embedding | None]:
+    """Containment under each relation whose bit is set in ``wanted``.
+
+    One walk over the positive embeddings finds the combos each one passes.
+    It stops once every wanted relation is settled: a weak one by its first
+    passing embedding, a strong one by its first failing one. Returns the
+    relation bits (0 outside ``wanted``), then the first embedding seen to
+    pass and the first seen to fail under ``COMBOS[combo]``, if given.
+    """
+    weak = _COMBO_SET[wanted >> 1 & _STRONG_BITS]
+    strong = _COMBO_SET[wanted & _STRONG_BITS]
+    combos = weak | strong
+    track = 0 if combo is None else 1 << combo
+    seen = False
+    any4 = 0
+    all4 = combos
+    witness: Embedding | None = None
+    violator: Embedding | None = None
+    for e in _iter_embeddings(pos_masks, seq_masks):
+        seen = True
+        passed = combos
+        for i, qmask, mode in slots:
+            passed &= _slot_pass4(qmask, mode, seq_masks[e[i] : e[i + 1] - 1])
+            if not passed:
+                break
+        any4 |= passed
+        all4 &= passed
+        if track:
+            if passed & track:
+                if witness is None:
+                    witness = e
+            elif violator is None:
+                violator = e
+        # Without a constrained slot every embedding passes like the first.
+        if any4 & weak == weak and not (all4 & strong and slots):
+            break
+    if not seen:
+        return 0, None, None
+    return (_SPREAD[all4] | _SPREAD[any4] << 1) & wanted, witness, violator
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,9 +261,10 @@ class MatchReport:
     """Outcome of one containment test.
 
     ``witness`` is the first embedding (lexicographically) satisfying the
-    negatives, ``violator`` the first that does not; either may be None. The
-    embedding count saturates at the enumeration cap passed to
-    :func:`contains`.
+    negatives and is set when the pattern is contained; ``violator`` is the
+    first that does not and is set when it is not contained but has a
+    positive embedding. The other field may be None. The embedding count is
+    exact.
     """
 
     contained: bool
@@ -216,13 +273,7 @@ class MatchReport:
     total_positive_embeddings: int
 
 
-def contains(
-    p: NegPattern,
-    s: Sequence,
-    theta: Theta,
-    *,
-    embedding_cap: int = DEFAULT_EMBEDDING_CAP,
-) -> MatchReport:
+def contains(p: NegPattern, s: Sequence, theta: Theta) -> MatchReport:
     """Containment of ``p`` in ``s`` under ``theta``, with full reporting.
 
     Weak occurrence holds when some positive embedding satisfies the
@@ -230,93 +281,30 @@ def contains(
     that all of them satisfy the negatives. A pattern whose positive part
     does not occur is not contained under either occurrence.
     """
-    seq_masks = [it.mask for it in s.itemsets]
-    pos_masks = [positive.mask for positive in p.positives]
-    witness: Embedding | None = None
-    violator: Embedding | None = None
-    total = 0
-    for e in _iter_embeddings(pos_masks, seq_masks):
-        total += 1
-        if _embedding_pass(p, seq_masks, e, theta.embedding, theta.non_inclusion):
-            if witness is None:
-                witness = e
-        elif violator is None:
-            violator = e
-        if total >= embedding_cap:
-            break
-    if theta.occurrence is Occurrence.WEAK:
-        contained = witness is not None
-    else:
-        contained = total > 0 and violator is None
-    return MatchReport(contained, witness, violator, total)
-
-
-def _contained_quick(
-    p: NegPattern, pos_masks: list[int], seq_masks: list[int], theta: Theta
-) -> bool:
-    """Decision-only containment; short-circuits on the first witness/violator."""
-    weak = theta.occurrence is Occurrence.WEAK
-    seen_any = False
-    for e in _iter_embeddings(pos_masks, seq_masks):
-        seen_any = True
-        ok = _embedding_pass(p, seq_masks, e, theta.embedding, theta.non_inclusion)
-        if weak and ok:
-            return True
-        if not weak and not ok:
-            return False
-    return seen_any and not weak
+    pos_masks, slots = _pattern_parts(p)
+    bits, witness, violator = _scan(
+        pos_masks, slots, s.masks, 1 << theta.index, theta.combo_index
+    )
+    seen = witness is not None or violator is not None
+    total = _count_embeddings(pos_masks, s.masks) if seen else 0
+    return MatchReport(bits != 0, witness, violator, total)
 
 
 def is_contained(p: NegPattern, s: Sequence, theta: Theta) -> bool:
     """Boolean form of :func:`contains`, with short-circuit evaluation."""
-    return _contained_quick(
-        p,
-        [positive.mask for positive in p.positives],
-        [it.mask for it in s.itemsets],
-        theta,
-    )
+    pos_masks, slots = _pattern_parts(p)
+    return _scan(pos_masks, slots, s.masks, 1 << theta.index)[0] != 0
 
 
 def support(p: NegPattern, db: SequenceDatabase, theta: Theta) -> int:
     """Number of database sequences that contain ``p`` under ``theta``."""
-    pos_masks = [positive.mask for positive in p.positives]
+    pos_masks, slots = _pattern_parts(p)
+    wanted = 1 << theta.index
     count = 0
     for s in db.sequences:
-        if _contained_quick(p, pos_masks, [it.mask for it in s.itemsets], theta):
+        if _scan(pos_masks, slots, s.masks, wanted)[0]:
             count += 1
     return count
-
-
-def _slot_pass4(qmask: int, mode: NegMode | None, gaps: list[int]) -> int:
-    """4-bit slot outcome over the combos (strict/soft x partial/total).
-
-    Bit c follows negseq.model.COMBOS order. A slot with a pinned mode either
-    passes for all four combos or fails for all four.
-    """
-    if qmask == 0:
-        return 0b1111
-    if mode is not None:
-        emb, incl = _slot_semantics(mode, EmbeddingKind.STRICT, NonInclusion.TOTAL)
-        return 0b1111 if _slot_ok(qmask, gaps, emb, incl) else 0
-    union = 0
-    soft_partial = True
-    soft_total = True
-    for g in gaps:
-        if qmask & ~g == 0:
-            soft_partial = False
-        if qmask & g:
-            soft_total = False
-        union |= g
-    bits = 0
-    if qmask & ~union:
-        bits |= 1  # strict partial
-    if soft_partial:
-        bits |= 2
-    if qmask & union == 0:
-        bits |= 4  # strict total
-    if soft_total:
-        bits |= 8
-    return bits
 
 
 def theta_bits(p: NegPattern, s: Sequence) -> int:
@@ -326,33 +314,8 @@ def theta_bits(p: NegPattern, s: Sequence) -> int:
     the verification scans and the all-thetas reports, which would otherwise
     re-enumerate embeddings eight times.
     """
-    seq_masks = [it.mask for it in s.itemsets]
-    pos_masks = [positive.mask for positive in p.positives]
-    negatives = p.negatives
-    any4 = 0
-    all4 = 0b1111
-    seen_any = False
-    for e in _iter_embeddings(pos_masks, seq_masks):
-        seen_any = True
-        pass4 = 0b1111
-        for i, negative in enumerate(negatives):
-            qmask = negative.itemset.mask
-            if not qmask:
-                continue
-            pass4 &= _slot_pass4(qmask, negative.mode, seq_masks[e[i] : e[i + 1] - 1])
-            if not pass4:
-                break
-        any4 |= pass4
-        all4 &= pass4
-        if any4 == 0b1111 and all4 == 0:
-            break
-    bits = 0
-    for c in range(4):
-        if seen_any and (all4 >> c) & 1:
-            bits |= 1 << (2 * c)  # strong
-        if (any4 >> c) & 1:
-            bits |= 1 << (2 * c + 1)  # weak
-    return bits
+    pos_masks, slots = _pattern_parts(p)
+    return _scan(pos_masks, slots, s.masks, _ALL_BITS)[0]
 
 
 def weak_strong_support(
@@ -362,25 +325,16 @@ def weak_strong_support(
     nonincl: NonInclusion,
 ) -> tuple[int, int]:
     """(weak, strong) supports in one database pass, sharing embeddings."""
-    pos_masks = [positive.mask for positive in p.positives]
+    pos_masks, slots = _pattern_parts(p)
+    strong_bit = 1 << 2 * COMBOS.index((embedding, nonincl))
+    weak_bit = strong_bit << 1
     weak = 0
     strong = 0
     for s in db.sequences:
-        seq_masks = [it.mask for it in s.itemsets]
-        witness = False
-        violator = False
-        seen_any = False
-        for e in _iter_embeddings(pos_masks, seq_masks):
-            seen_any = True
-            if _embedding_pass(p, seq_masks, e, embedding, nonincl):
-                witness = True
-            else:
-                violator = True
-            if witness and violator:
-                break
-        if witness:
+        bits = _scan(pos_masks, slots, s.masks, weak_bit | strong_bit)[0]
+        if bits & weak_bit:
             weak += 1
-        if seen_any and not violator:
+        if bits & strong_bit:
             strong += 1
     return weak, strong
 

@@ -8,7 +8,7 @@ and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -161,12 +161,15 @@ class Sequence:
     """Ordered itemsets; positions are 1-based in all external reporting."""
 
     itemsets: tuple[Itemset, ...] = ()
+    # The itemsets' bitmasks, built once for the matcher's inner loops.
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "itemsets", tuple(self.itemsets))
         for position, itemset in enumerate(self.itemsets, start=1):
             if not itemset:
                 raise ValueError(f"sequence itemset at position {position} is empty")
+        object.__setattr__(self, "masks", tuple(it.mask for it in self.itemsets))
 
     def __len__(self) -> int:
         return len(self.itemsets)
@@ -272,14 +275,6 @@ def pattern_length(pattern: NegPattern) -> int:
     return len(pattern.positives) + sum(
         1 for negative in pattern.negatives if negative.itemset
     )
-
-
-def has_negatives(pattern: NegPattern) -> bool:
-    return any(negative.itemset for negative in pattern.negatives)
-
-
-def has_slot_modes(pattern: NegPattern) -> bool:
-    return any(negative.mode is not None for negative in pattern.negatives)
 
 
 def singleton_negatives_only(pattern: NegPattern) -> bool:

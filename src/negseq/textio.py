@@ -28,6 +28,7 @@ from .model import (
     RESERVED_CHARS,
     Sequence,
     SequenceDatabase,
+    THETAS,
     make_itemset,
 )
 
@@ -354,8 +355,6 @@ def csv_row(cells: Iterable[object]) -> str:
 
 def dominance_table_rows(table) -> list[list[str]]:
     """Header row plus one row per relation, cells as '.', '>' or '-'."""
-    from .model import THETAS
-
     rows = [[""] + [t.spell() for t in THETAS]]
     for left in THETAS:
         rows.append(

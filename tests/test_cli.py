@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from negseq import Theta, contains, load_database, parse_pattern
 from negseq.cli import run
 from conftest import ABSENCE_TEXT, FIG1_TEXT, TABLE1_TEXT
 
@@ -117,6 +120,34 @@ class TestMatchCommand:
         )
         assert code == 0
         assert out.strip().splitlines()[1] == "1,false,no-positive-embedding"
+
+    def test_first_violator_beyond_a_million_embeddings(self, capsys, tmp_path):
+        # Over 10^6 placements that pass come before the first violator, and
+        # the exact count is C(45, 6): no enumeration cap decides either.
+        path = tmp_path / "many.db"
+        path.write_text(" ".join(["a"] * 40 + ["b"] + ["a"] * 5) + "\n")
+        pattern = "<a !b a a a a a>"
+        code, out, err = invoke(
+            capsys, "match", "--db", str(path),
+            "--pattern", pattern, "--theta", "strong-soft-total", "--explain",
+        )
+        assert (code, err) == (0, "")
+        assert out == "seq,contained,detail\n1,false,violator=(1 42 43 44 45 46)\n"
+        db = load_database(str(path))
+        report = contains(
+            parse_pattern(pattern, db.dictionary), db.sequences[0],
+            Theta.parse("strong-soft-total"),
+        )
+        assert report.total_positive_embeddings == math.comb(45, 6)
+
+    def test_pattern_of_1100_positives(self, capsys, tmp_path):
+        path = tmp_path / "long.db"
+        path.write_text(" ".join(["a"] * 1200) + "\n")
+        code, out, err = invoke(
+            capsys, "match", "--db", str(path),
+            "--pattern", "<" + " ".join(["a"] * 1100) + ">", "--theta", "weak-soft-total",
+        )
+        assert (code, out, err) == (0, "seq,contained\n1,true\n", "")
 
 
 class TestMineCommand:

@@ -10,6 +10,8 @@ from negseq import (
     EmbeddingKind,
     Itemset,
     NegMode,
+    NegPattern,
+    Negative,
     NonInclusion,
     NotAPositiveEmbeddingError,
     Occurrence,
@@ -219,6 +221,14 @@ class TestCheckEmbedding:
         assert not check_embedding((1, 4), pinned, s, SOFT, PARTIAL)
         free = parse_pattern("<a !(b c) d>", abc_dict)
         assert check_embedding((1, 4), free, s, SOFT, PARTIAL)
+        # b and c sit in different gap itemsets: only soft partial holds.
+        s = parse_sequence("a c b e d", abc_dict)
+        strict = parse_pattern("<a !{b c} d>", abc_dict)
+        assert not check_embedding((1, 5), strict, s, SOFT, PARTIAL)
+        soft = NegPattern(
+            strict.positives, (Negative(strict.negatives[0].itemset, NegMode.SOFT_PARTIAL),)
+        )
+        assert check_embedding((1, 5), soft, s, STRICT, TOTAL)
 
 
 # --- lemma-style properties over random draws -------------------------------
@@ -266,6 +276,11 @@ def test_singleton_negatives_collapse_soft_strict(data):
 def test_contains_agrees_with_quantifier_expansion(data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     p = random_pattern(rng)
+    modes = (None, *NegMode)
+    p = NegPattern(
+        p.positives,
+        tuple(Negative(negative.itemset, rng.choice(modes)) for negative in p.negatives),
+    )
     s = random_sequence(rng)
     bits = theta_bits(p, s)
     for theta in THETAS:
@@ -281,8 +296,15 @@ def test_match_report_invariants(data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     p = random_pattern(rng)
     s = random_sequence(rng)
+    embeddings = positive_embeddings(positive_part(p), s)
     for theta in THETAS:
         report = contains(p, s, theta)
+        assert report.total_positive_embeddings == len(embeddings)
+        passes = [naive_check(e, p, s, theta.embedding, theta.non_inclusion) for e in embeddings]
+        if report.contained:
+            assert report.witness == embeddings[passes.index(True)]
+        elif embeddings:
+            assert report.violator == embeddings[passes.index(False)]
         if theta.occurrence is Occurrence.WEAK and report.contained:
             assert report.witness is not None
         if (
@@ -332,12 +354,6 @@ class TestContains:
             assert not report.contained
             assert report.total_positive_embeddings == 0
             assert report.witness is None and report.violator is None
-
-    def test_embedding_cap_saturates_count(self, abc_dict):
-        p = parse_pattern("<a b !c d>", abc_dict)
-        s = parse_sequence("a b c a d e b d", abc_dict)
-        report = contains(p, s, THETAS[1], embedding_cap=2)
-        assert report.total_positive_embeddings == 2
 
 
 # --- support ----------------------------------------------------------------
