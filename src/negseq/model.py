@@ -245,6 +245,12 @@ class NegPattern:
 
     positives: tuple[Itemset, ...]
     negatives: tuple[Negative, ...] = ()
+    # Built once for the matcher: the positives' bitmasks, and the
+    # (slot, mask, mode) of every slot with a non-empty negative.
+    positive_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    constrained_slots: tuple[tuple[int, int, NegMode | None], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         positives = tuple(self.positives)
@@ -258,6 +264,16 @@ class NegPattern:
             if not positives or any(not p for p in positives):
                 raise EmptyPositiveError("; ".join(problems))
             raise ValueError("; ".join(problems))
+        object.__setattr__(self, "positive_masks", tuple(p.mask for p in positives))
+        object.__setattr__(
+            self,
+            "constrained_slots",
+            tuple(
+                (i, negative.itemset.mask, negative.mode)
+                for i, negative in enumerate(negatives)
+                if negative.itemset
+            ),
+        )
 
 
 def validate_pattern(pattern: NegPattern) -> list[str]:

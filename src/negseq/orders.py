@@ -754,12 +754,18 @@ def verify_invariants(draws: int = 10000, seed: int = 94001) -> tuple[InvariantC
     failures = {name: 0 for name in names}
     examples = {name: "" for name in names}
     recent: list[Sequence] = []
-    # For each relation, the relations it is known to dominate, as a bitmask.
+    # The (left, right) index pairs where THETAS[left] is known to dominate
+    # THETAS[right], in THETAS order, and for each relation the ones it
+    # dominates as a bitmask.
+    dominated = [
+        (left.index, right.index)
+        for left in THETAS
+        for right in THETAS
+        if table.entry(left, right) is Dominance.DOMINATES
+    ]
     implied = [0] * 8
-    for left in THETAS:
-        for right in THETAS:
-            if table.entry(left, right) is Dominance.DOMINATES:
-                implied[left.index] |= 1 << right.index
+    for left, right in dominated:
+        implied[left] |= 1 << right
     weak_of_strong = {
         Theta(Occurrence.STRONG, emb, incl).index: Theta(
             Occurrence.WEAK, emb, incl
@@ -838,15 +844,13 @@ def verify_invariants(draws: int = 10000, seed: int = 94001) -> tuple[InvariantC
             db = SequenceDatabase(tuple(recent), dictionary)
             recent.clear()
             supports = all_theta_supports(p, db)
-            for left in THETAS:
-                for right in THETAS:
-                    if table.entry(left, right) is Dominance.DOMINATES:
-                        if supports[left.index] > supports[right.index]:
-                            record(
-                                names[8],
-                                f"{left.spell()}={supports[left.index]} "
-                                f"{right.spell()}={supports[right.index]}",
-                            )
+            for left, right in dominated:
+                if supports[left] > supports[right]:
+                    record(
+                        names[8],
+                        f"{THETAS[left].spell()}={supports[left]} "
+                        f"{THETAS[right].spell()}={supports[right]}",
+                    )
             for occ in Occurrence:
                 soft_total = Theta(occ, EmbeddingKind.SOFT, NonInclusion.TOTAL)
                 strict_total = Theta(occ, EmbeddingKind.STRICT, NonInclusion.TOTAL)

@@ -35,6 +35,21 @@ def invoke(capsys, *argv):
 
 
 class TestSupportCommand:
+    @pytest.mark.parametrize(
+        "sequence, expected",
+        [(["a"] * 2000, "1\n"), (["a"] * 2000 + ["b"] + ["a"] * 5, "0\n")],
+    )
+    def test_strong_support_over_long_runs(self, capsys, tmp_path, sequence, expected):
+        # Strong occurrence needs every placement of the five a's, about
+        # 2.7 * 10^14 of them, to keep b out of the gap.
+        path = tmp_path / "run.db"
+        path.write_text(" ".join(sequence) + "\n")
+        code, out, err = invoke(
+            capsys, "support", "--db", str(path),
+            "--pattern", "<a !b a a a a>", "--theta", "strong-soft-total",
+        )
+        assert (code, out, err) == (0, expected, "")
+
     def test_single_theta(self, capsys, table1_path):
         code, out, _ = invoke(
             capsys, "support", "--db", table1_path,
@@ -123,22 +138,23 @@ class TestMatchCommand:
 
     def test_first_violator_beyond_a_million_embeddings(self, capsys, tmp_path):
         # Over 10^6 placements that pass come before the first violator, and
-        # the exact count is C(45, 6): no enumeration cap decides either.
+        # the exact count is C(65, 6): neither an enumeration cap nor a walk
+        # over the placements decides this input.
         path = tmp_path / "many.db"
-        path.write_text(" ".join(["a"] * 40 + ["b"] + ["a"] * 5) + "\n")
+        path.write_text(" ".join(["a"] * 60 + ["b"] + ["a"] * 5) + "\n")
         pattern = "<a !b a a a a a>"
         code, out, err = invoke(
             capsys, "match", "--db", str(path),
             "--pattern", pattern, "--theta", "strong-soft-total", "--explain",
         )
         assert (code, err) == (0, "")
-        assert out == "seq,contained,detail\n1,false,violator=(1 42 43 44 45 46)\n"
+        assert out == "seq,contained,detail\n1,false,violator=(1 62 63 64 65 66)\n"
         db = load_database(str(path))
         report = contains(
             parse_pattern(pattern, db.dictionary), db.sequences[0],
             Theta.parse("strong-soft-total"),
         )
-        assert report.total_positive_embeddings == math.comb(45, 6)
+        assert report.total_positive_embeddings == math.comb(65, 6) == 82_598_880
 
     def test_pattern_of_1100_positives(self, capsys, tmp_path):
         path = tmp_path / "long.db"
@@ -148,6 +164,29 @@ class TestMatchCommand:
             "--pattern", "<" + " ".join(["a"] * 1100) + ">", "--theta", "weak-soft-total",
         )
         assert (code, out, err) == (0, "seq,contained\n1,true\n", "")
+
+    @pytest.mark.parametrize(
+        "negative, theta, contained",
+        [
+            ("b", "weak-soft-total", "true"),
+            ("b", "strong-strict-partial", "true"),
+            ("b", "strong-soft-partial", "true"),
+            # Only the placements with empty gaps keep a out of them.
+            ("a", "weak-strict-total", "true"),
+            ("a", "strong-soft-total", "false"),
+        ],
+    )
+    def test_pattern_of_1100_positives_with_negatives(
+        self, capsys, tmp_path, negative, theta, contained
+    ):
+        # Strong occurrence here quantifies over C(1200, 1100) placements.
+        path = tmp_path / "long.db"
+        path.write_text(" ".join(["a"] * 1200) + "\n")
+        pattern = "<" + f" !{negative} ".join(["a"] * 1100) + ">"
+        code, out, err = invoke(
+            capsys, "match", "--db", str(path), "--pattern", pattern, "--theta", theta,
+        )
+        assert (code, out, err) == (0, f"seq,contained\n1,{contained}\n", "")
 
 
 class TestMineCommand:

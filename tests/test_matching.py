@@ -271,16 +271,28 @@ def test_singleton_negatives_collapse_soft_strict(data):
         assert bits & group in (0, group)
 
 
+def with_random_modes(rng, p):
+    """``p`` with each non-empty slot given a random mode, None or a NegMode."""
+    modes = (None, *NegMode)
+    return NegPattern(
+        p.positives,
+        tuple(Negative(negative.itemset, rng.choice(modes)) for negative in p.negatives),
+    )
+
+
+def long_pair(rng):
+    """Up to 5 positives against up to 12 itemsets over 3 items, with random
+    slot modes: enough placements for the matcher's tables to do real work."""
+    p = random_pattern(rng, alphabet=3, max_positives=5, max_itemset_size=2, max_neg_size=2)
+    s = random_sequence(rng, alphabet=3, max_len=12, max_itemset_size=2)
+    return with_random_modes(rng, p), s
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_contains_agrees_with_quantifier_expansion(data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
-    p = random_pattern(rng)
-    modes = (None, *NegMode)
-    p = NegPattern(
-        p.positives,
-        tuple(Negative(negative.itemset, rng.choice(modes)) for negative in p.negatives),
-    )
+    p = with_random_modes(rng, random_pattern(rng))
     s = random_sequence(rng)
     bits = theta_bits(p, s)
     for theta in THETAS:
@@ -290,35 +302,43 @@ def test_contains_agrees_with_quantifier_expansion(data):
         assert bool((bits >> theta.index) & 1) == expected
 
 
-@settings(max_examples=100)
+@settings(max_examples=150)
+@given(st.data())
+def test_decisions_agree_with_quantifier_expansion_on_long_inputs(data):
+    p, s = long_pair(random.Random(data.draw(st.integers(0, 10**6))))
+    bits = theta_bits(p, s)
+    for theta in THETAS:
+        expected = naive_contains(p, s, theta)
+        assert bool((bits >> theta.index) & 1) == expected
+        assert is_contained(p, s, theta) == expected
+
+
+@settings(max_examples=150)
 @given(st.data())
 def test_match_report_invariants(data):
-    rng = random.Random(data.draw(st.integers(0, 10**6)))
-    p = random_pattern(rng)
-    s = random_sequence(rng)
+    p, s = long_pair(random.Random(data.draw(st.integers(0, 10**6))))
     embeddings = positive_embeddings(positive_part(p), s)
     for theta in THETAS:
         report = contains(p, s, theta)
         assert report.total_positive_embeddings == len(embeddings)
-        passes = [naive_check(e, p, s, theta.embedding, theta.non_inclusion) for e in embeddings]
-        if report.contained:
-            assert report.witness == embeddings[passes.index(True)]
-        elif embeddings:
-            assert report.violator == embeddings[passes.index(False)]
-        if theta.occurrence is Occurrence.WEAK and report.contained:
-            assert report.witness is not None
-        if (
-            theta.occurrence is Occurrence.STRONG
-            and not report.contained
-            and report.total_positive_embeddings > 0
-        ):
-            assert report.violator is not None
+        passing, failing = [], []
+        for e in embeddings:
+            verdict = naive_check(e, p, s, theta.embedding, theta.non_inclusion)
+            assert check_embedding(e, p, s, theta.embedding, theta.non_inclusion) == verdict
+            (passing if verdict else failing).append(e)
+        # Both fields are always the lexicographically first, or None.
+        assert report.witness == (passing[0] if passing else None)
+        assert report.violator == (failing[0] if failing else None)
         if report.witness is not None:
             assert check_embedding(report.witness, p, s, theta.embedding, theta.non_inclusion)
         if report.violator is not None:
             assert not check_embedding(
                 report.violator, p, s, theta.embedding, theta.non_inclusion
             )
+        if theta.occurrence is Occurrence.WEAK:
+            assert report.contained == bool(passing)
+        else:
+            assert report.contained == (bool(embeddings) and not failing)
 
 
 # --- contains on the worked examples ----------------------------------------
@@ -335,6 +355,30 @@ class TestContains:
                 assert weak.contained and weak.witness == (1, 7, 8)
                 assert not strong.contained and strong.violator == (1, 2, 5)
                 assert weak.total_positive_embeddings == 4
+
+    def test_weak_needs_a_later_embedding(self, abc_dict):
+        # The first placement (1, 6) has b and c in its gap; the later (4, 6)
+        # leaves only b there, which strict-partial accepts and total does not.
+        p = parse_pattern("<a !(b c) d>", abc_dict)
+        s = parse_sequence("a b c a b d", abc_dict)
+        holds = {
+            "strong-soft-partial", "weak-strict-partial", "weak-soft-partial",
+        }
+        bits = theta_bits(p, s)
+        for theta in THETAS:
+            assert bool(bits >> theta.index & 1) == (theta.spell() in holds)
+        report = contains(p, s, Theta.parse("weak-strict-partial"))
+        assert (report.witness, report.violator) == ((4, 6), (1, 6))
+
+    def test_violator_fails_a_later_slot(self, abc_dict):
+        # The first slot passes on every placement; only (1, 2, 5) puts c in
+        # the gap of the second.
+        p = parse_pattern("<a !e b !c d>", abc_dict)
+        s = parse_sequence("a b d c d", abc_dict)
+        for theta in THETAS:
+            report = contains(p, s, theta)
+            assert (report.witness, report.violator) == ((1, 2, 3), (1, 2, 5))
+            assert report.contained == (theta.occurrence is Occurrence.WEAK)
 
     def test_blocked_sequence_fails_all_eight(self, abc_dict):
         p = parse_pattern("<a !(b c) d>", abc_dict)
