@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .matching import all_theta_supports, contains, support, theta_bits
-from .mining import PatternBounds, UnsupportedThetaError, mine_bruteforce, mine_pruned
+from .mining import PatternBounds, mine_bruteforce, mine_pruned
 from .model import (
     NegseqError,
     Theta,
@@ -403,9 +403,6 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except UnsupportedThetaError as exc:
-        print(f"error: {exc} (pass --engine bruteforce)", file=sys.stderr)
-        return 2
     except (NegseqError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

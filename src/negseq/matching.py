@@ -90,14 +90,30 @@ def _iter_embeddings(
             return
 
 
-def _count_embeddings(pos_masks: tuple[int, ...], seq_masks: tuple[int, ...]) -> int:
-    """Number of placements of the positives, in O(k*n) mask tests."""
-    # ways[j]: placements of the positives so far within the first j itemsets.
-    ways = [1] * (len(seq_masks) + 1)
-    for pmask in pos_masks:
-        placed = [0]
-        for j, smask in enumerate(seq_masks):
-            placed.append(placed[j] + ways[j] if pmask & ~smask == 0 else placed[j])
+def _count_embeddings(
+    pos_masks: tuple[int, ...],
+    seq_masks: tuple[int, ...],
+    first: list[int],
+    last: list[int],
+) -> int:
+    """Number of placements of the positives. Positive i only sits between
+    ``first[i]`` and ``last[i]``, so this costs one mask test per index of
+    each window."""
+    # ways[x]: placements of the positives so far whose latest one sits at an
+    # index at most lo + x. Before the first positive there is one (empty)
+    # placement, whatever the index.
+    lo = first[0] - 1
+    ways = [1]
+    for pmask, a, b in zip(pos_masks, first, last):
+        placed = []
+        count = 0
+        end = len(ways) - 1
+        for j in range(a, b + 1):
+            if not pmask & ~seq_masks[j]:
+                x = j - 1 - lo
+                count += ways[x] if x < end else ways[end]
+            placed.append(count)
+        lo = a
         ways = placed
     return ways[-1]
 
@@ -245,13 +261,14 @@ def _embedding_pass4(
 # 0-based indices of the greedy earliest and latest placements.
 
 
-def _earliest(pos_masks: tuple[int, ...], seq_masks: tuple[int, ...]) -> list[int] | None:
-    """Greedy earliest placement of each positive: the lexicographically
-    first embedding, as 0-based indices; None when the positives do not
-    embed."""
+def _earliest(
+    pos_masks: tuple[int, ...], seq_masks: tuple[int, ...], j: int = 0
+) -> list[int] | None:
+    """Greedy earliest placement of each positive from index ``j`` on: the
+    lexicographically first embedding, as 0-based indices; None when the
+    positives do not embed there."""
     n = len(seq_masks)
     index = []
-    j = 0
     for pmask in pos_masks:
         while j < n and pmask & ~seq_masks[j]:
             j += 1
@@ -435,10 +452,22 @@ def _decide(p: NegPattern, seq_masks: tuple[int, ...], wanted: int) -> int:
     first = _earliest(pos_masks, seq_masks)
     if first is None:
         return 0
-    slots = p.constrained_slots
-    if not slots:
+    if not p.constrained_slots:
         return wanted
-    last = _latest(pos_masks, seq_masks)
+    return _decide_placed(p, seq_masks, wanted, first, _latest(pos_masks, seq_masks))
+
+
+def _decide_placed(
+    p: NegPattern,
+    seq_masks: tuple[int, ...],
+    wanted: int,
+    first: list[int],
+    last: list[int],
+) -> int:
+    """The slot part of :func:`_decide`, for a pattern with a constrained
+    slot whose positives embed, given their earliest and latest placements.
+    The miner calls it with placements cached from the positive part."""
+    slots = p.constrained_slots
     strong = _COMBO_SET[wanted & _STRONG_BITS]
     for i, qmask, mode in slots:
         if not strong:
@@ -449,7 +478,7 @@ def _decide(p: NegPattern, seq_masks: tuple[int, ...], wanted: int) -> int:
     for test, combos in _WEAK_PASSES:
         if weak & combos & ~found:
             tests = _slot_tests(p, test)
-            if _passing_table(pos_masks, tests, seq_masks, first, last) is None:
+            if _passing_table(p.positive_masks, tests, seq_masks, first, last) is None:
                 break  # no embedding passes the stronger tests either
             found |= weak & combos
     return _SPREAD[strong] | _SPREAD[found] << 1
@@ -500,7 +529,8 @@ def contains(p: NegPattern, s: Sequence, theta: Theta) -> MatchReport:
         contained = witness is not None
     else:
         contained = violator is None
-    return MatchReport(contained, witness, violator, _count_embeddings(pos_masks, seq_masks))
+    count = _count_embeddings(pos_masks, seq_masks, first, last)
+    return MatchReport(contained, witness, violator, count)
 
 
 def is_contained(p: NegPattern, s: Sequence, theta: Theta) -> bool:

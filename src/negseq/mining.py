@@ -1,12 +1,27 @@
 """Canonical pattern enumeration and frequent-pattern mining.
 
-The pruned miner must return exactly the bruteforce result. It walks prefix
-extensions (append a positive itemset, grow the last positive itemset, grow a
-negative itemset) and cuts a subtree once the weak support of its root fails
-the threshold; under strong occurrence the weak support acts as an upper
-bound and negative-growth edges are additionally cut on exact strong support.
-Neither cut can lose a frequent pattern: weak support never increases along a
-prefix extension, and strong support never increases along negative growth.
+The pruned miner returns exactly the bruteforce result, under all eight
+relations. It walks prefix extensions depth first (append a positive itemset,
+grow the last positive itemset, put an item into a negative itemset), and
+each node hands its children the ids of the sequences that contain it under
+the relation, so that a child is decided only where its parent leaves the
+answer open (the projection of PrefixSpan, as NegPSpan applies it to negative
+patterns). Every relation needs the positive part to embed, and every slot
+test is monotone in the negative itemset, which gives three rules:
+
+- positive extension: the child's sequences are among the parent's; below
+  ``minsup`` the whole subtree is cut, under every relation;
+- opening an empty negative slot, or growing a negative under total
+  non-inclusion: the child's sequences are among the parent's; under total
+  non-inclusion the negative subtree is cut below ``minsup``;
+- growing a non-empty negative under partial non-inclusion: the child's
+  sequences include the parent's, so only the positive part's other
+  sequences are decided, and nothing is cut.
+
+A positive node also hands down the earliest placement of its positives in
+each of its sequences, so that a positive child places only its last
+positive, and a negative child decides only its slots on placements that
+the positive part computed once.
 """
 
 from __future__ import annotations
@@ -19,17 +34,14 @@ from .model import (
     Itemset,
     NegPattern,
     Negative,
-    NegseqError,
     NonInclusion,
-    Occurrence,
     SequenceDatabase,
     Theta,
 )
-from .matching import support, weak_strong_support
+from .matching import _decide_placed, _earliest, _latest, support
 
-
-class UnsupportedThetaError(NegseqError):
-    """The pruned miner only covers total non-inclusion relations."""
+# Not called here: ``bench/run.py --trace 1`` patches it on this module by name.
+from .matching import weak_strong_support
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,7 +156,9 @@ def enumerate_patterns(bounds: PatternBounds) -> Iterator[NegPattern]:
 @dataclass(frozen=True, slots=True)
 class MiningStats:
     """candidates: patterns whose support was evaluated; support_calls:
-    database passes; pruned_subtrees: nodes whose extensions were cut."""
+    support passes, one per candidate, over the whole database for the
+    bruteforce engine and over the sequences its parent leaves open for the
+    pruned one; pruned_subtrees: nodes whose extensions were cut."""
 
     candidates: int = 0
     support_calls: int = 0
@@ -195,75 +209,98 @@ def _has_negative_extension(
 def mine_pruned(
     db: SequenceDatabase, theta: Theta, minsup: int, bounds: PatternBounds
 ) -> MiningResult:
-    """Frequent patterns under a total non-inclusion relation, with pruning.
+    """Frequent patterns under any relation, by projected depth-first search.
 
-    Returns exactly what :func:`mine_bruteforce` returns on the same inputs.
-    Partial non-inclusion admits no such pruning (growing a negative weakens a
-    partial constraint), so it is rejected; use the bruteforce engine there.
+    Returns exactly what :func:`mine_bruteforce` returns on the same inputs,
+    in the same order and with the same supports. A positive node below
+    ``minsup`` loses its whole subtree; under total non-inclusion so does a
+    negative node below ``minsup``. Under partial non-inclusion, growing a
+    negative can only add sequences, so the negative subtree is never cut
+    (see the module docstring for the three rules).
     """
-    if theta.non_inclusion is not NonInclusion.TOTAL:
-        raise UnsupportedThetaError(
-            "pruned mining requires total non-inclusion; "
-            "use mine_bruteforce for partial relations"
-        )
     if minsup < 1:
         raise ValueError("minsup must be at least 1")
-    strong = theta.occurrence is Occurrence.STRONG
+    wanted = 1 << theta.index
+    partial = theta.non_inclusion is NonInclusion.PARTIAL
+    seqs = [s.masks for s in db.sequences]
     frequent: list[tuple[NegPattern, int]] = []
     candidates = 0
     pruned = 0
 
-    def evaluate(pattern: NegPattern) -> tuple[int, int]:
-        nonlocal candidates
+    def visit_negative(
+        pattern: NegPattern,
+        last_slot: int,
+        last_item: int,
+        parent_ids: list[int],
+        grown: bool,
+        first: dict[int, list[int]],
+        last: dict[int, list[int]],
+    ) -> None:
+        # first and last: the positive part's placements, keyed by the ids of
+        # the sequences it embeds in. grown: the edge from the parent grew a
+        # non-empty negative, rather than opening an empty slot.
+        nonlocal candidates, pruned
         candidates += 1
-        if strong:
-            return weak_strong_support(pattern, db, theta.embedding, theta.non_inclusion)
-        weak = support(pattern, db, theta)
-        return weak, weak
-
-    def visit_negative(pattern: NegPattern, last_slot: int, last_item: int) -> None:
-        nonlocal pruned
-        weak, exact = evaluate(pattern)
-        threshold = exact if strong else weak
-        if weak < minsup or (strong and exact < minsup):
-            # Everything below grows this pattern's negatives, so its support
-            # cannot recover under either occurrence.
+        if grown and partial:
+            inside = set(parent_ids)
+            ids = [
+                i
+                for i in first
+                if i in inside or _decide_placed(pattern, seqs[i], wanted, first[i], last[i])
+            ]
+        else:
+            ids = [
+                i
+                for i in parent_ids
+                if _decide_placed(pattern, seqs[i], wanted, first[i], last[i])
+            ]
+        if len(ids) >= minsup:
+            frequent.append((pattern, len(ids)))
+        elif not partial:
             if _has_negative_extension(pattern, bounds, last_slot, last_item):
                 pruned += 1
             return
-        frequent.append((pattern, threshold))
         for child, slot, item in _negative_extensions(
             pattern, bounds, last_slot, last_item
         ):
-            visit_negative(child, slot, item)
+            visit_negative(child, slot, item, ids, slot == last_slot, first, last)
 
-    def visit_positive(pattern: NegPattern) -> None:
-        nonlocal pruned
-        weak, exact = evaluate(pattern)
-        if weak < minsup:
+    def visit_positive(
+        pattern: NegPattern, parent_first: dict[int, list[int]], appended: int
+    ) -> None:
+        # parent_first: the parent's earliest placements. The child places
+        # only its last positive, from the parent's last placement on (one
+        # index later when it appended a positive).
+        nonlocal candidates, pruned
+        candidates += 1
+        pos_masks = pattern.positive_masks
+        kept = len(pos_masks) - 1
+        tail = pos_masks[kept:]
+        first = {}
+        for i, placed in parent_first.items():
+            found = _earliest(tail, seqs[i], placed[-1] + appended)
+            if found is not None:
+                first[i] = placed[:kept] + found
+        if len(first) < minsup:
             if _has_positive_extension(pattern, bounds) or _has_negative_extension(
                 pattern, bounds, -1, -1
             ):
                 pruned += 1
             return
-        if strong:
-            if exact >= minsup:
-                frequent.append((pattern, exact))
-        else:
-            frequent.append((pattern, weak))
+        frequent.append((pattern, len(first)))
         for child in _positive_extensions(pattern, bounds):
-            visit_positive(child)
-        if strong and exact < minsup:
-            # Negative growth only shrinks strong support; positive growth may
-            # still recover, so only the negative edges are cut here.
-            if _has_negative_extension(pattern, bounds, -1, -1):
-                pruned += 1
-            return
+            visit_positive(child, first, len(child.positives) - len(pattern.positives))
+        last = None
         for child, slot, item in _negative_extensions(pattern, bounds, -1, -1):
-            visit_negative(child, slot, item)
+            if last is None:
+                ids = list(first)
+                last = {i: _latest(pos_masks, seqs[i]) for i in ids}
+            visit_negative(child, slot, item, ids, False, first, last)
 
+    # Before the first positive, every sequence is open from index 0 on.
+    everywhere = {i: [-1] for i in range(len(seqs))}
     for item in bounds.alphabet:
-        visit_positive(NegPattern((Itemset(1 << item),)))
+        visit_positive(NegPattern((Itemset(1 << item),)), everywhere, 1)
     return MiningResult(
         tuple(frequent), theta, minsup, MiningStats(candidates, candidates, pruned)
     )

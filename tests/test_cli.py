@@ -191,17 +191,26 @@ class TestMatchCommand:
 
 class TestMineCommand:
     def test_engines_agree_on_stdout(self, capsys, fig1_path):
-        args = (
-            "mine", "--db", fig1_path, "--theta", "weak-strict-total",
-            "--minsup", "3", "--max-positives", "2", "--max-itemset-size", "1",
-            "--max-neg-size", "1",
-        )
-        code1, out1, err1 = invoke(capsys, *args, "--engine", "pruned")
-        code2, out2, err2 = invoke(capsys, *args, "--engine", "bruteforce")
-        assert code1 == code2 == 0
-        assert out1 == out2
-        assert "pruned_subtrees" in err1
-        assert out1.splitlines()[0] == "pattern,support"
+        # A total relation, a partial one (the default engine's refusal is
+        # gone) and a strong one; two-item negatives tell partial from total.
+        for theta, max_neg in (
+            ("weak-strict-total", "1"),
+            ("weak-soft-partial", "2"),
+            ("strong-strict-partial", "2"),
+            ("strong-soft-total", "2"),
+        ):
+            args = (
+                "mine", "--db", fig1_path, "--theta", theta,
+                "--minsup", "3", "--max-positives", "2", "--max-itemset-size", "1",
+                "--max-neg-size", max_neg,
+            )
+            code1, out1, err1 = invoke(capsys, *args)
+            code2, out2, err2 = invoke(capsys, *args, "--engine", "bruteforce")
+            assert code1 == code2 == 0, theta
+            assert out1 == out2, theta
+            assert "engine=pruned" in err1 and "pruned_subtrees" in err1
+            assert out1.splitlines()[0] == "pattern,support"
+            assert len(out1.splitlines()) > 2, theta
 
     def test_contains_rule_pattern(self, capsys, fig1_path):
         code, out, _ = invoke(
@@ -211,14 +220,6 @@ class TestMineCommand:
         )
         assert code == 0
         assert "<a !b c d>,3" in out.splitlines()
-
-    def test_pruned_rejects_partial(self, capsys, fig1_path):
-        code, _, err = invoke(
-            capsys, "mine", "--db", fig1_path, "--theta", "weak-soft-partial",
-            "--minsup", "2",
-        )
-        assert code == 2
-        assert "bruteforce" in err
 
     def test_bruteforce_accepts_partial(self, capsys, fig1_path):
         code, out, _ = invoke(
