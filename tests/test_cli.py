@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -279,6 +280,21 @@ class TestVerifyCommand:
         code, out, _ = invoke(capsys, "verify", "--suite", "dominance")
         assert code == 0
         assert "\nstrong-soft-total      >" in out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize(
+    "suite, extra",
+    [("dominance", ()), ("antimono", ()), ("equivalence", ()), ("lemmas", ("--draws", "500"))],
+)
+def test_verify_output_matches_golden(capsys, suite, extra, fmt):
+    # Each golden file holds the exit code on its first line, then stdout.
+    code, out, _ = invoke(capsys, "verify", "--suite", suite, *extra, "--format", fmt)
+    expected = (GOLDEN / f"verify_{suite}_{fmt}.txt").read_text()
+    assert f"exit {code}\n" + out == expected
 
 
 class TestReportCommand:
