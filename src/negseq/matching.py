@@ -122,7 +122,8 @@ def positive_embeddings(pplus: NegPattern, s: Sequence) -> list[Embedding]:
     """Every embedding of a positive pattern, in lexicographic order.
 
     ``pplus`` must carry no negative constraints; use
-    :func:`negseq.model.positive_part` first if it does.
+    :func:`negseq.model.positive_part` first if it does. An oracle helper: the
+    tests and the lemmas suite check the core against it; the core never calls it.
     """
     if any(negative.itemset for negative in pplus.negatives):
         raise ValueError("positive_embeddings expects a pattern without negatives")
@@ -133,7 +134,7 @@ def gap_union(s: Sequence, e: Embedding, slot: int) -> Itemset:
     """Union of the itemsets strictly between positions e[slot] and e[slot+1].
 
     ``slot`` is 1-based and must satisfy 1 <= slot < len(e). Adjacent
-    positions yield the empty itemset.
+    positions yield the empty itemset. An oracle helper: only the tests call it.
     """
     if not 1 <= slot < len(e):
         raise ValueError(f"slot must be in [1, {len(e) - 1}], got {slot}")
@@ -228,7 +229,8 @@ def check_embedding(
     Soft checks each gap itemset individually; strict checks the gap union.
     ``e`` must embed the positive part (raises NotAPositiveEmbeddingError
     otherwise). A slot with an explicit mode is evaluated under that mode
-    regardless of the arguments.
+    regardless of the arguments. An oracle helper: the tests and the lemmas
+    suite check the core against it; the core never calls it.
     """
     seq_masks = s.masks
     _require_positive_embedding(e, p, seq_masks)
@@ -563,7 +565,9 @@ def weak_strong_support(
     embedding: EmbeddingKind,
     nonincl: NonInclusion,
 ) -> tuple[int, int]:
-    """(weak, strong) supports in one database pass."""
+    """(weak, strong) supports in one database pass. An oracle helper: the
+    tests check it against :func:`all_theta_supports`; the package never calls
+    it."""
     strong_bit = 1 << 2 * COMBOS.index((embedding, nonincl))
     weak_bit = strong_bit << 1
     weak = 0

@@ -212,27 +212,6 @@ class Negative:
 NO_NEGATIVE = Negative()
 
 
-def pattern_violations(
-    positives: tuple[Itemset, ...], negatives: tuple[Negative, ...]
-) -> list[str]:
-    """Validity violations for raw pattern parts (empty list means valid).
-
-    The alternating representation makes leading, trailing and adjacent
-    negatives unrepresentable, so only emptiness and arity can go wrong.
-    """
-    problems: list[str] = []
-    if len(positives) == 0:
-        problems.append("pattern has no positive itemsets")
-    for index, positive in enumerate(positives, start=1):
-        if not positive:
-            problems.append(f"positive itemset p{index} is empty")
-    if positives and len(negatives) != len(positives) - 1:
-        problems.append(
-            f"expected {len(positives) - 1} negative slots, got {len(negatives)}"
-        )
-    return problems
-
-
 @dataclass(frozen=True, slots=True)
 class NegPattern:
     """Negative sequential pattern: positives p1..pk, negative slots q1..q(k-1).
@@ -259,7 +238,7 @@ class NegPattern:
             negatives = tuple(NO_NEGATIVE for _ in range(len(positives) - 1))
         object.__setattr__(self, "positives", positives)
         object.__setattr__(self, "negatives", negatives)
-        problems = pattern_violations(positives, negatives)
+        problems = validate_pattern(self)
         if problems:
             if not positives or any(not p for p in positives):
                 raise EmptyPositiveError("; ".join(problems))
@@ -277,8 +256,23 @@ class NegPattern:
 
 
 def validate_pattern(pattern: NegPattern) -> list[str]:
-    """Re-run the construction-time checks; empty list means valid."""
-    return pattern_violations(pattern.positives, pattern.negatives)
+    """Validity violations (empty list means valid); construction raises on any.
+
+    The alternating representation makes leading, trailing and adjacent
+    negatives unrepresentable, so only emptiness and arity can go wrong.
+    """
+    positives, negatives = pattern.positives, pattern.negatives
+    problems: list[str] = []
+    if len(positives) == 0:
+        problems.append("pattern has no positive itemsets")
+    for index, positive in enumerate(positives, start=1):
+        if not positive:
+            problems.append(f"positive itemset p{index} is empty")
+    if positives and len(negatives) != len(positives) - 1:
+        problems.append(
+            f"expected {len(positives) - 1} negative slots, got {len(negatives)}"
+        )
+    return problems
 
 
 def positive_part(pattern: NegPattern) -> NegPattern:

@@ -1,10 +1,11 @@
 """Partial orders on patterns, dominance between containment relations, and
 the empirical verification harnesses.
 
-The dominance table is the hard-coded known result; the scans are
-falsification harnesses over finite pattern/sequence spaces. A scan can
-corroborate a dominance or anti-monotonicity claim on a space and can refute
-one with a concrete, re-checkable counterexample, never prove it.
+The dominance table is the known result, derived from the product of two
+chains. The scans run on a containment grid and are falsification harnesses
+over finite pattern/sequence spaces. A scan can corroborate a dominance or
+anti-monotonicity claim on a space and can refute one with a concrete,
+re-checkable counterexample, never prove it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator, Sequence as SequenceABC
 
 from .model import (
@@ -34,7 +36,7 @@ from .matching import (
     NotAPositiveEmbeddingError,
     all_theta_supports,
     check_embedding,
-    is_contained,
+    is_contained,  # only for the bench tracer, which patches orders.is_contained
     non_inclusion,
     positive_embeddings,
     theta_bits,
@@ -163,19 +165,27 @@ class Dominance(Enum):
     NOT_DOMINATES = "-"
 
 
-# Complete known dominance relation between the eight containment relations,
-# closed under transitivity. Row dominates column; rows/columns follow the
-# canonical THETAS order.
-_KNOWN_ROWS = (
-    ". > > > - - - -",
-    "- . - > - - - -",
-    "- - . > - - - -",
-    "- - - . - - - -",
-    "> > > > . > > >",
-    "- > - > - . - >",
-    "> > > > > > . >",
-    "- > - > - > - .",
-)
+# The known dominance order is the product of two chains. On occurrence,
+# strong dominates weak. On the slot test, total dominates strict-partial,
+# which dominates soft-partial; soft and strict total are the same test.
+_OCCURRENCE_RANK = {Occurrence.WEAK: 0, Occurrence.STRONG: 1}
+_SLOT_RANK = {
+    (EmbeddingKind.SOFT, NonInclusion.PARTIAL): 0,
+    (EmbeddingKind.STRICT, NonInclusion.PARTIAL): 1,
+    (EmbeddingKind.SOFT, NonInclusion.TOTAL): 2,
+    (EmbeddingKind.STRICT, NonInclusion.TOTAL): 2,
+}
+
+
+def _rank(theta: Theta) -> tuple[int, int]:
+    return (
+        _OCCURRENCE_RANK[theta.occurrence],
+        _SLOT_RANK[(theta.embedding, theta.non_inclusion)],
+    )
+
+
+# Relations of equal rank on both chains are equivalent: 2 x 3 classes.
+_DOMINANCE_CLASSES = len({_rank(theta) for theta in THETAS})
 
 
 @dataclass(frozen=True)
@@ -190,12 +200,17 @@ class DominanceTable:
 
 
 def known_dominance() -> DominanceTable:
-    """The complete 8x8 dominance table, hard-coded."""
+    """The complete 8x8 dominance table: a relation dominates another when it
+    ranks at least as high on both chains. Rows and columns follow THETAS."""
+
+    def cell(left: Theta, right: Theta) -> Dominance:
+        if left == right:
+            return Dominance.SELF
+        above = all(a >= b for a, b in zip(_rank(left), _rank(right)))
+        return Dominance.DOMINATES if above else Dominance.NOT_DOMINATES
+
     return DominanceTable(
-        tuple(
-            tuple(Dominance(cell) for cell in row.split())
-            for row in _KNOWN_ROWS
-        )
+        tuple(tuple(cell(left, right) for right in THETAS) for left in THETAS)
     )
 
 
@@ -218,35 +233,6 @@ class Verdict:
     checked_pairs: int
 
 
-def _as_spaces(
-    patterns: Iterable[NegPattern], sequences: Iterable[Sequence]
-) -> tuple[list[NegPattern], list[Sequence]]:
-    pats = list(patterns)
-    seqs = list(sequences)
-    if not pats or not seqs:
-        raise EmptySpaceError("pattern and sequence spaces must be non-empty")
-    return pats, seqs
-
-
-def dominance_scan(
-    theta: Theta,
-    theta2: Theta,
-    patterns: Iterable[NegPattern],
-    sequences: Iterable[Sequence],
-) -> Verdict:
-    """Search the product space for a pair contained under ``theta`` but not
-    under ``theta2``. Deterministic: the first counterexample in pattern-major
-    order is reported."""
-    pats, seqs = _as_spaces(patterns, sequences)
-    checked = 0
-    for p in pats:
-        for s in seqs:
-            checked += 1
-            if is_contained(p, s, theta) and not is_contained(p, s, theta2):
-                return Verdict(False, Counterexample(p, None, s), checked)
-    return Verdict(True, None, checked)
-
-
 def equivalence_classes(
     thetas: SequenceABC[Theta],
     patterns: Iterable[NegPattern],
@@ -258,35 +244,7 @@ def equivalence_classes(
     partition can only be as fine as the space allows: relations without a
     separating witness in the space land in the same class.
     """
-    pats, seqs = _as_spaces(patterns, sequences)
-    grid = ContainmentGrid(pats, seqs)
-    return grid.equivalence_partition(thetas)
-
-
-def anti_monotonicity_scan(
-    theta: Theta,
-    order: OrderKind,
-    patterns: Iterable[NegPattern],
-    sequences: Iterable[Sequence],
-    order_nonincl: NonInclusion = NonInclusion.TOTAL,
-) -> Verdict:
-    """Search for a triple p < p', s with p' contained but p not contained.
-
-    ``order_nonincl`` selects the total or reversed (partial) variant of the
-    order; it is independent of ``theta``.
-    """
-    pats, seqs = _as_spaces(patterns, sequences)
-    fn = _ORDER_FUNCS[order]
-    checked = 0
-    for p in pats:
-        for p2 in pats:
-            if not fn(p, p2, order_nonincl):
-                continue
-            for s in seqs:
-                checked += 1
-                if is_contained(p2, s, theta) and not is_contained(p, s, theta):
-                    return Verdict(False, Counterexample(p, p2, s), checked)
-    return Verdict(True, None, checked)
+    return ContainmentGrid(patterns, sequences).equivalence_partition(thetas)
 
 
 class ContainmentGrid:
@@ -298,7 +256,9 @@ class ContainmentGrid:
     """
 
     def __init__(self, patterns: Iterable[NegPattern], sequences: Iterable[Sequence]):
-        self.patterns, self.sequences = _as_spaces(patterns, sequences)
+        self.patterns, self.sequences = list(patterns), list(sequences)
+        if not self.patterns or not self.sequences:
+            raise EmptySpaceError("pattern and sequence spaces must be non-empty")
         n_seq = len(self.sequences)
         counts = [0] * 256
         first = [-1] * 256
@@ -329,6 +289,9 @@ class ContainmentGrid:
         return self._contained[pattern_index][theta.index]
 
     def dominance(self, theta: Theta, theta2: Theta) -> Verdict:
+        """Search for a pair contained under ``theta`` but not under
+        ``theta2``; the first counterexample in pattern-major order is
+        reported."""
         t, t2 = theta.index, theta2.index
         best = -1
         for value in range(256):
@@ -381,6 +344,11 @@ class ContainmentGrid:
         order_nonincl: NonInclusion = NonInclusion.TOTAL,
         pairs: list[tuple[int, int]] | None = None,
     ) -> Verdict:
+        """Search for a triple p < p', s with p' contained but p not contained.
+
+        ``order_nonincl`` selects the total or reversed (partial) variant of
+        the order; it is independent of ``theta``.
+        """
         if pairs is None:
             pairs = self.comparable_pairs(order, order_nonincl)
         checked = 0
@@ -487,45 +455,31 @@ def default_space(
     dictionary = Dictionary("abcdef")
     alphabet = tuple(range(bounds.alphabet))
 
-    patterns: list[NegPattern] = []
-    seen_p: set[NegPattern] = set()
-
-    def add_pattern(p: NegPattern) -> None:
-        if singleton_negatives and not singleton_negatives_only(p):
-            return
-        if p not in seen_p:
-            seen_p.add(p)
-            patterns.append(p)
-
-    for text in _WITNESS_PATTERNS:
-        add_pattern(parse_pattern(text, dictionary))
+    small = tuple(range(min(2, bounds.alphabet)))
     fill = PatternBounds(
         bounds.max_positives, bounds.max_itemset_size, bounds.max_neg_size, alphabet
     )
-    for p in enumerate_patterns(fill):
-        add_pattern(p)
-    # Longer patterns with singleton itemsets, for order coverage at 3 steps.
-    deep = PatternBounds(3, 1, 1, tuple(range(min(2, bounds.alphabet))))
-    for p in enumerate_patterns(deep):
-        add_pattern(p)
-
-    sequences: list[Sequence] = []
-    seen_s: set[Sequence] = set()
-
-    def add_sequence(s: Sequence) -> None:
-        if s not in seen_s:
-            seen_s.add(s)
-            sequences.append(s)
-
-    for text in _WITNESS_SEQUENCES:
-        add_sequence(parse_sequence(text, dictionary))
-    for s in enumerate_sequences(
-        alphabet, bounds.max_sequence_len, bounds.max_sequence_itemset
-    ):
-        add_sequence(s)
-    for s in enumerate_sequences(tuple(range(min(2, bounds.alphabet))), 5, 1):
-        add_sequence(s)
-
+    # dict.fromkeys drops repeats and keeps first-seen order. The last source
+    # adds longer patterns with singleton itemsets, for order coverage at 3
+    # steps.
+    patterns = dict.fromkeys(
+        p
+        for p in chain(
+            (parse_pattern(text, dictionary) for text in _WITNESS_PATTERNS),
+            enumerate_patterns(fill),
+            enumerate_patterns(PatternBounds(3, 1, 1, small)),
+        )
+        if not singleton_negatives or singleton_negatives_only(p)
+    )
+    sequences = dict.fromkeys(
+        chain(
+            (parse_sequence(text, dictionary) for text in _WITNESS_SEQUENCES),
+            enumerate_sequences(
+                alphabet, bounds.max_sequence_len, bounds.max_sequence_itemset
+            ),
+            enumerate_sequences(small, 5, 1),
+        )
+    )
     return VerificationSpace(tuple(patterns), tuple(sequences), dictionary)
 
 
@@ -565,24 +519,22 @@ def verify_dominance(space: VerificationSpace | None = None) -> DominanceReport:
         space = default_space()
     grid = ContainmentGrid(space.patterns, space.sequences)
     table = known_dominance()
-    checks = []
-    for left in THETAS:
-        for right in THETAS:
-            if left == right:
-                continue
-            checks.append(
-                DominanceCheck(
-                    left, right, table.entry(left, right), grid.dominance(left, right)
-                )
-            )
-    return DominanceReport(tuple(checks), len(space.patterns), len(space.sequences))
+    checks = tuple(
+        DominanceCheck(
+            left, right, table.entry(left, right), grid.dominance(left, right)
+        )
+        for left in THETAS
+        for right in THETAS
+        if left != right
+    )
+    return DominanceReport(checks, len(space.patterns), len(space.sequences))
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
     general: tuple[tuple[Theta, ...], ...]
     singleton: tuple[tuple[Theta, ...], ...]
-    expected_general: int = 6
+    expected_general: int = _DOMINANCE_CLASSES
     expected_singleton: int = 4
 
     @property
@@ -609,13 +561,10 @@ def verify_equivalence(bounds: SpaceBounds = SpaceBounds()) -> EquivalenceReport
     report keeps the specification's count of four and flags the mismatch
     rather than papering over it.
     """
-    general_space = default_space(bounds)
-    singleton_space = default_space(bounds, singleton_negatives=True)
-    general = equivalence_classes(THETAS, general_space.patterns, general_space.sequences)
-    singleton = equivalence_classes(
-        THETAS, singleton_space.patterns, singleton_space.sequences
+    spaces = (default_space(bounds), default_space(bounds, singleton_negatives=True))
+    return EquivalenceReport(
+        *(equivalence_classes(THETAS, s.patterns, s.sequences) for s in spaces)
     )
-    return EquivalenceReport(general, singleton)
 
 
 @dataclass(frozen=True)
@@ -665,11 +614,8 @@ def verify_anti_monotonicity(
         pairs = grid.comparable_pairs(order)
         for theta in THETAS:
             verdict = grid.anti_monotonicity(theta, order, pairs=pairs)
-            checks.append(
-                AntiMonotonicityCheck(
-                    order, theta, _expected_anti_monotone(order, theta), verdict
-                )
-            )
+            expected = _expected_anti_monotone(order, theta)
+            checks.append(AntiMonotonicityCheck(order, theta, expected, verdict))
     return AntiMonotonicityReport(tuple(checks))
 
 
@@ -766,23 +712,19 @@ def verify_invariants(draws: int = 10000, seed: int = 94001) -> tuple[InvariantC
     implied = [0] * 8
     for left, right in dominated:
         implied[left] |= 1 << right
-    weak_of_strong = {
-        Theta(Occurrence.STRONG, emb, incl).index: Theta(
-            Occurrence.WEAK, emb, incl
-        ).index
-        for emb, incl in (
-            (e, i)
-            for e in (EmbeddingKind.SOFT, EmbeddingKind.STRICT)
-            for i in (NonInclusion.PARTIAL, NonInclusion.TOTAL)
-        )
-    }
-    partial_of_total = {
-        Theta(occ, emb, NonInclusion.TOTAL).index: Theta(
-            occ, emb, NonInclusion.PARTIAL
-        ).index
-        for occ in Occurrence
-        for emb in EmbeddingKind
-    }
+    # Among those, the pairs that differ on one axis only: strong over weak,
+    # and total over partial.
+    strong_weak = [
+        (left, right)
+        for left, right in dominated
+        if THETAS[left].combo_index == THETAS[right].combo_index
+    ]
+    total_partial = [
+        (left, right)
+        for left, right in dominated
+        if THETAS[left].occurrence is THETAS[right].occurrence
+        and THETAS[left].embedding is THETAS[right].embedding
+    ]
     dictionary = Dictionary(chr(ord("a") + i) for i in range(5))
 
     def record(name: str, detail: str) -> None:
@@ -830,12 +772,10 @@ def verify_invariants(draws: int = 10000, seed: int = 94001) -> tuple[InvariantC
                 record(names[4], f"e={guess}")
 
         bits = theta_bits(p, s)
-        for strong_index, weak_index in weak_of_strong.items():
-            if (bits >> strong_index) & 1 and not (bits >> weak_index) & 1:
-                record(names[5], THETAS[strong_index].spell())
-        for total_index, partial_index in partial_of_total.items():
-            if (bits >> total_index) & 1 and not (bits >> partial_index) & 1:
-                record(names[6], THETAS[total_index].spell())
+        for name, pairs in ((names[5], strong_weak), (names[6], total_partial)):
+            for left, right in pairs:
+                if (bits >> left) & 1 and not (bits >> right) & 1:
+                    record(name, THETAS[left].spell())
         for t in range(8):
             if (bits >> t) & 1 and bits & implied[t] != implied[t]:
                 record(names[7], THETAS[t].spell())

@@ -15,7 +15,6 @@ and ``!|x y|`` pins total evaluation.
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable
 
 from .model import (
@@ -321,8 +320,6 @@ def parse_database(text: str, format: str = "native") -> SequenceDatabase:
             sequences.append(_parse_native_line(line, lineno, dictionary))
         else:
             sequences.append(_parse_spmf_line(line, lineno, dictionary))
-    if not sequences:
-        warnings.warn("database contains no sequences", stacklevel=2)
     return SequenceDatabase(tuple(sequences), dictionary)
 
 
@@ -361,10 +358,6 @@ def dominance_table_rows(table) -> list[list[str]]:
             [left.spell()] + [table.entry(left, right).value for right in THETAS]
         )
     return rows
-
-
-def dominance_table_to_csv(table) -> str:
-    return "".join(csv_row(row) + "\n" for row in dominance_table_rows(table))
 
 
 def dominance_table_to_text(table) -> str:

@@ -232,6 +232,35 @@ class TestMineCommand:
         assert "<a>,6" in out.splitlines()
 
 
+class TestCleanErrors:
+    def test_empty_database(self, capsys, tmp_path):
+        path = tmp_path / "empty.db"
+        path.write_text("# nothing here\n")
+        db = ("--db", str(path))
+        code, out, err = invoke(
+            capsys, "mine", *db, "--theta", "weak-soft-total", "--minsup", "1"
+        )
+        assert (code, out, err) == (2, "", "error: alphabet must be non-empty\n")
+        query = ("--pattern", "<a>", "--theta", "weak-soft-total")
+        assert invoke(capsys, "match", *db, *query) == (0, "seq,contained\n", "")
+        assert invoke(capsys, "support", *db, *query) == (0, "0\n", "")
+        code, out, err = invoke(capsys, "report", *db, "--format", "csv", "--pattern", "<a>")
+        assert (code, out.splitlines()[1:], err) == (0, ["<a>" + ",0" * 8], "")
+
+    def test_deep_bounds_give_one_error_line(self, capsys, tmp_path):
+        # The miner recurses once per positive, so 1,400 positives exceed the
+        # interpreter's recursion limit.
+        path = tmp_path / "run.db"
+        path.write_text(" ".join(["a"] * 1500) + "\n")
+        code, out, err = invoke(
+            capsys, "mine", "--db", str(path), "--theta", "weak-soft-total",
+            "--minsup", "1", "--max-positives", "1400", "--max-itemset-size", "1",
+            "--max-neg-size", "1",
+        )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 class TestVerifyCommand:
     def test_dominance_suite_passes(self, capsys):
         code, out, _ = invoke(capsys, "verify", "--suite", "dominance")

@@ -19,7 +19,7 @@ from negseq import (
     positive_part,
     validate_pattern,
 )
-from negseq.model import check_token, pattern_violations
+from negseq.model import check_token
 from negseq.textio import parse_pattern, render_pattern
 
 
@@ -114,11 +114,10 @@ class TestNegPattern:
         assert pattern_length(NegPattern((a, b))) == 2
 
     def test_empty_positive_rejected(self):
-        with pytest.raises(EmptyPositiveError):
+        with pytest.raises(EmptyPositiveError, match="positive itemset p1 is empty"):
             NegPattern((EMPTY_ITEMSET,))
         with pytest.raises(EmptyPositiveError):
             NegPattern(())
-        assert pattern_violations((EMPTY_ITEMSET,), ()) == ["positive itemset p1 is empty"]
 
     def test_negative_arity_enforced(self):
         a = Itemset.of([0])

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from negseq import (
+    Counterexample,
     Dictionary,
     Dominance,
     EmptySpaceError,
@@ -12,8 +13,7 @@ from negseq import (
     SequenceDatabase,
     THETAS,
     Theta,
-    anti_monotonicity_scan,
-    dominance_scan,
+    Verdict,
     embed_incl,
     equivalence_classes,
     is_contained,
@@ -37,6 +37,45 @@ from negseq.orders import (
 from negseq.textio import parse_pattern, parse_sequence
 
 PARTIAL, TOTAL = NonInclusion.PARTIAL, NonInclusion.TOTAL
+
+# The known dominance table written out cell by cell, independently of the two
+# chains known_dominance() derives it from. Row dominates column; rows and
+# columns follow the canonical THETAS order.
+KNOWN_ROWS = (
+    ". > > > - - - -",
+    "- . - > - - - -",
+    "- - . > - - - -",
+    "- - - . - - - -",
+    "> > > > . > > >",
+    "- > - > - . - >",
+    "> > > > > > . >",
+    "- > - > - > - .",
+)
+
+
+def naive_dominance_scan(theta, theta2, patterns, sequences):
+    """Pair-by-pair oracle for ContainmentGrid.dominance."""
+    checked = 0
+    for p in patterns:
+        for s in sequences:
+            checked += 1
+            if is_contained(p, s, theta) and not is_contained(p, s, theta2):
+                return Verdict(False, Counterexample(p, None, s), checked)
+    return Verdict(True, None, checked)
+
+
+def naive_anti_monotonicity_scan(theta, order, patterns, sequences):
+    """Triple-by-triple oracle for ContainmentGrid.anti_monotonicity."""
+    checked = 0
+    for p in patterns:
+        for p2 in patterns:
+            if not pattern_order(order, p, p2):
+                continue
+            for s in sequences:
+                checked += 1
+                if is_contained(p2, s, theta) and not is_contained(p, s, theta):
+                    return Verdict(False, Counterexample(p, p2, s), checked)
+    return Verdict(True, None, checked)
 
 
 @pytest.fixture
@@ -156,6 +195,13 @@ class TestStrictPartialOrderLaws:
 
 
 class TestKnownDominance:
+    def test_matches_the_literal_table(self):
+        table = known_dominance()
+        for left in THETAS:
+            for right in THETAS:
+                cell = KNOWN_ROWS[left.index].split()[right.index]
+                assert table.entry(left, right) is Dominance(cell), (left, right)
+
     def test_shape(self):
         table = known_dominance()
         counts = {Dominance.SELF: 0, Dominance.DOMINATES: 0, Dominance.NOT_DOMINATES: 0}
@@ -199,18 +245,15 @@ class TestDominanceScan:
         patterns = [parse_pattern("<a !b c>", d)]
         sequences = [parse_sequence("a c", d)]
         theta = Theta.parse("weak-soft-partial")
-        verdict = dominance_scan(theta, theta, patterns, sequences)
+        verdict = ContainmentGrid(patterns, sequences).dominance(theta, theta)
         assert verdict.holds and verdict.checked_pairs == 1
 
     def test_partial_does_not_dominate_total(self, d):
         patterns = [parse_pattern("<a !(b c) d>", d)]
         sequences = [parse_sequence("a b d", d)]
         for emb in ("soft", "strict"):
-            verdict = dominance_scan(
-                Theta.parse(f"weak-{emb}-partial"),
-                Theta.parse(f"weak-{emb}-total"),
-                patterns,
-                sequences,
+            verdict = ContainmentGrid(patterns, sequences).dominance(
+                Theta.parse(f"weak-{emb}-partial"), Theta.parse(f"weak-{emb}-total")
             )
             assert not verdict.holds
             ce = verdict.counterexample
@@ -221,21 +264,17 @@ class TestDominanceScan:
     def test_theorem_entry_cannot_be_contradicted(self, d):
         patterns = [parse_pattern("<a !(b c) d>", d), parse_pattern("<a !b c>", d)]
         sequences = [parse_sequence("a b d", d), parse_sequence("a c b c", d)]
-        verdict = dominance_scan(
-            Theta.parse("strong-soft-total"),
-            Theta.parse("weak-soft-partial"),
-            patterns,
-            sequences,
+        verdict = ContainmentGrid(patterns, sequences).dominance(
+            Theta.parse("strong-soft-total"), Theta.parse("weak-soft-partial")
         )
         assert verdict.holds
         assert verdict.checked_pairs == 4
 
     def test_empty_space_rejected(self, d):
-        theta = THETAS[0]
         with pytest.raises(EmptySpaceError):
-            dominance_scan(theta, theta, [], [parse_sequence("a", d)])
+            ContainmentGrid([], [parse_sequence("a", d)])
         with pytest.raises(EmptySpaceError):
-            dominance_scan(theta, theta, [parse_pattern("<a>", d)], [])
+            ContainmentGrid([parse_pattern("<a>", d)], [])
 
     def test_grid_agrees_with_naive_scan(self):
         rng = random.Random(11)
@@ -245,7 +284,7 @@ class TestDominanceScan:
         for left in THETAS:
             for right in THETAS:
                 fast = grid.dominance(left, right)
-                slow = dominance_scan(left, right, patterns, sequences)
+                slow = naive_dominance_scan(left, right, patterns, sequences)
                 assert fast.holds == slow.holds
                 assert fast.checked_pairs == slow.checked_pairs
                 if not fast.holds:
@@ -291,19 +330,19 @@ class TestAntiMonotonicityScan:
             assert embed_incl(p, p2)
             assert is_contained(p2, s, theta)
             assert not is_contained(p, s, theta)
-            verdict = anti_monotonicity_scan(theta, OrderKind.EMBED_INCL, [p, p2], [s])
+            verdict = ContainmentGrid([p, p2], [s]).anti_monotonicity(
+                theta, OrderKind.EMBED_INCL
+            )
             assert not verdict.holds
             assert verdict.counterexample.pattern == p
             assert verdict.counterexample.pattern2 == p2
 
     def test_prefix_inclusion_keeps_weak_total(self):
         space = default_space()
+        grid = ContainmentGrid(space.patterns[:60], space.sequences[:60])
         for spelling in ("weak-soft-total", "weak-strict-total"):
-            verdict = anti_monotonicity_scan(
-                Theta.parse(spelling),
-                OrderKind.PREFIX_INCL,
-                space.patterns[:60],
-                space.sequences[:60],
+            verdict = grid.anti_monotonicity(
+                Theta.parse(spelling), OrderKind.PREFIX_INCL
             )
             assert verdict.holds
 
@@ -316,7 +355,9 @@ class TestAntiMonotonicityScan:
             assert prefix_incl(p, p2)
             assert is_contained(p2, s, theta)
             assert not is_contained(p, s, theta)
-            verdict = anti_monotonicity_scan(theta, OrderKind.PREFIX_INCL, [p, p2], [s])
+            verdict = ContainmentGrid([p, p2], [s]).anti_monotonicity(
+                theta, OrderKind.PREFIX_INCL
+            )
             assert not verdict.holds
 
     def test_prefix_inclusion_breaks_strong_total_itemset_variant(self, d):
@@ -331,12 +372,10 @@ class TestAntiMonotonicityScan:
 
     def test_negative_extension_keeps_all_total_relations(self):
         space = default_space()
+        grid = ContainmentGrid(space.patterns[:80], space.sequences[:80])
         for theta in THETAS:
             if theta.non_inclusion is TOTAL:
-                verdict = anti_monotonicity_scan(
-                    theta, OrderKind.NEG_EXT, space.patterns[:80], space.sequences[:80]
-                )
-                assert verdict.holds
+                assert grid.anti_monotonicity(theta, OrderKind.NEG_EXT).holds
 
     def test_grid_agrees_with_naive_scan(self):
         rng = random.Random(23)
@@ -346,7 +385,7 @@ class TestAntiMonotonicityScan:
         for order in OrderKind:
             for theta in THETAS:
                 fast = grid.anti_monotonicity(theta, order)
-                slow = anti_monotonicity_scan(theta, order, patterns, sequences)
+                slow = naive_anti_monotonicity_scan(theta, order, patterns, sequences)
                 assert fast.holds == slow.holds
                 assert fast.checked_pairs == slow.checked_pairs
                 if not fast.holds:
