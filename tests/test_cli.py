@@ -231,6 +231,23 @@ class TestMineCommand:
         assert code == 0
         assert "<a>,6" in out.splitlines()
 
+    @pytest.mark.parametrize(
+        "theta, rows", [("weak-soft-total", 15), ("strong-soft-total", 4)]
+    )
+    def test_negative_variants_of_a_run(self, capsys, tmp_path, theta, rows):
+        # Adjacent positions leave an empty gap, so <a !a a> is weakly
+        # contained in a^6: every a^k (k <= 4) with any choice of !a slots is
+        # frequent, 1 + 2 + 4 + 8 = 15 patterns. Strong containment keeps only
+        # the four negative-free ones.
+        path = tmp_path / "run.db"
+        path.write_text(" ".join(["a"] * 6) + "\n")
+        code, out, _ = invoke(
+            capsys, "mine", "--db", str(path), "--theta", theta, "--minsup", "1",
+            "--max-positives", "4", "--max-itemset-size", "1", "--max-neg-size", "1",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + rows
+
 
 class TestCleanErrors:
     def test_empty_database(self, capsys, tmp_path):
@@ -249,7 +266,11 @@ class TestCleanErrors:
 
     def test_deep_bounds_give_one_error_line(self, capsys, tmp_path):
         # The miner recurses once per positive, so 1,400 positives exceed the
-        # interpreter's recursion limit.
+        # interpreter's recursion limit. The full answer could not be printed
+        # anyway: under weak-soft-total every negative variant of a^k is
+        # frequent (see TestMineCommand.test_negative_variants_of_a_run), which
+        # makes 2^1400 - 1 rows. An iterative miner would turn this test into
+        # a run that never ends.
         path = tmp_path / "run.db"
         path.write_text(" ".join(["a"] * 1500) + "\n")
         code, out, err = invoke(

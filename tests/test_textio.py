@@ -62,23 +62,34 @@ class TestParsePattern:
         with pytest.raises(StructureError):
             parse_pattern("<a !b>", abc_dict)
 
+    SYNTAX_ERRORS = [
+        ("a b", 1, "pattern must start with '<'"),
+        ("  x", 3, "pattern must start with '<'"),
+        ("<a b", 5, "pattern must end with '>'"),
+        ("<>", 2, "pattern has no itemsets"),
+        ("<a () b>", 4, "itemset must contain at least one item"),
+        ("<a !() b>", 5, "itemset must contain at least one item"),
+        ("<b !(c", 7, "expected ')' before end of input"),
+        ("<a !(b c", 9, "expected ')' before end of input"),
+        ("<a b> x", 7, "trailing input after '>'"),
+        ("<a , b>", 4, "unexpected ','"),
+        # '!' must touch the item or bracket it negates.
+        ("<a ! b>", 5, "expected an item, found ' '"),
+        ("<a !", 5, "expected an item, found end of input"),
+        ("<a !) b>", 5, "expected an item, found ')'"),
+        ("<a (b > c>", 7, "expected an item, found '>'"),
+    ]
+
     @pytest.mark.parametrize(
-        "text,column",
-        [
-            ("a b", 1),          # missing '<'
-            ("<a b", 5),         # missing '>'
-            ("<>", 2),           # no elements
-            ("<a () b>", 4),     # empty itemset
-            ("<a !() b>", 5),    # empty negative atom
-            ("<b !(c", 7),       # unclosed negative
-            ("<a b> x", 7),      # trailing input
-            ("<a , b>", 4),      # stray reserved character
-        ],
+        "text,column,message",
+        SYNTAX_ERRORS,
+        ids=[f"{text}-{column}" for text, column, _ in SYNTAX_ERRORS],
     )
-    def test_syntax_errors_carry_columns(self, text, column, abc_dict):
+    def test_syntax_errors_carry_columns(self, text, column, message, abc_dict):
         with pytest.raises(PatternSyntaxError) as info:
             parse_pattern(text, abc_dict)
         assert info.value.column == column
+        assert str(info.value) == f"column {column}: {message}"
 
     def test_extends_dictionary(self):
         d = Dictionary("ab")
@@ -200,6 +211,24 @@ class TestNativeFormat:
             parse_database("a b\nc ) d\n")
         assert info.value.line == 2
         assert info.value.column == 3
+
+    @pytest.mark.parametrize(
+        "text,column,message",
+        [
+            ("a (b ¬ c)", 6, "unexpected '¬'"),
+            ("a <b", 3, "unexpected '<'"),
+            ("a (b c", 3, "unclosed '('"),
+        ],
+    )
+    def test_errors_carry_line_and_column(self, text, column, message):
+        with pytest.raises(DatabaseParseError) as info:
+            parse_database(text)
+        assert (info.value.line, info.value.column) == (1, column)
+        assert str(info.value) == f"line 1, column {column}: {message}"
+
+    def test_lines_split_as_str_splitlines(self):
+        # A form feed ends a line, as it does for str.splitlines.
+        assert len(parse_database("x\x0cy")) == 2
 
 
 class TestSpmfFormat:
