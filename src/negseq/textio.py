@@ -1,5 +1,10 @@
 """Pattern language, database file formats, and text/CSV rendering.
 
+Both text grammars read the same tokens: an item is a maximal run of
+characters that are neither whitespace nor reserved (``RESERVED_CHARS``), and
+each reserved character is a token by itself. Whitespace separates tokens, so
+``(a b)c`` is two itemsets.
+
 Pattern grammar::
 
     pattern    := '<' element+ '>'
@@ -7,15 +12,17 @@ Pattern grammar::
     posItemset := item | '(' item+ ')'
     negAtom    := '!' item | '!(' item+ ')' | '!{' item+ '}' | '!|' item+ '|'
 
-Items are whitespace-separated; ``¬`` is accepted as an alias for ``!``.
-``!x`` and ``!(x y)`` leave the slot's evaluation to the pattern-level
-containment relation, ``!{x y}`` pins strict-partial evaluation for that slot
-and ``!|x y|`` pins total evaluation.
+``¬`` is accepted as an alias for ``!``, which must touch the item or bracket
+it negates. ``!x`` and ``!(x y)`` leave the slot's evaluation to the
+pattern-level containment relation, ``!{x y}`` pins strict-partial evaluation
+for that slot and ``!|x y|`` pins total evaluation.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import re
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .model import (
     Dictionary,
@@ -61,58 +68,25 @@ class EmptyItemsetError(DatabaseParseError):
 _NEG_BRACKETS = {"(": (")", None), "{": ("}", NegMode.STRICT_PARTIAL), "|": ("|", NegMode.TOTAL)}
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+_TOKEN = re.compile("[^\\s" + re.escape("".join(sorted(RESERVED_CHARS))) + "]+|\\S")
 
-    @property
-    def column(self) -> int:
-        return self.pos + 1
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def advance(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def skip_ws(self) -> None:
-        while self.peek().isspace():
-            self.pos += 1
-
-    def fail(self, message: str) -> PatternSyntaxError:
-        return PatternSyntaxError(message, self.column)
-
-    def read_item(self) -> str:
-        start = self.pos
-        while True:
-            ch = self.peek()
-            if not ch or ch.isspace() or ch in RESERVED_CHARS:
-                break
-            self.pos += 1
-        if self.pos == start:
-            got = repr(self.peek()) if self.peek() else "end of input"
-            raise PatternSyntaxError(f"expected an item, found {got}", start + 1)
-        return self.text[start : self.pos]
-
-    def read_items(self, closing: str, open_column: int) -> list[str]:
-        items = []
-        while True:
-            self.skip_ws()
-            ch = self.peek()
-            if ch == closing:
-                self.pos += 1
-                break
-            if not ch:
-                raise self.fail(f"expected {closing!r} before end of input")
-            items.append(self.read_item())
-        if not items:
-            raise PatternSyntaxError(
-                "itemset must contain at least one item", open_column
-            )
-        return items
+def _read_items(
+    tokens: Iterator[tuple[int, str]], closing: str, open_column: int
+) -> list[str]:
+    items = []
+    while True:
+        column, token = next(tokens)
+        if token == closing:
+            break
+        if not token:
+            raise PatternSyntaxError(f"expected {closing!r} before end of input", column)
+        if token in RESERVED_CHARS:
+            raise PatternSyntaxError(f"expected an item, found {token!r}", column)
+        items.append(token)
+    if not items:
+        raise PatternSyntaxError("itemset must contain at least one item", open_column)
+    return items
 
 
 def parse_pattern(text: str, dictionary: Dictionary) -> NegPattern:
@@ -121,45 +95,46 @@ def parse_pattern(text: str, dictionary: Dictionary) -> NegPattern:
     Raises PatternSyntaxError with a 1-based column for grammar problems and
     StructureError when negatives lead, trail, or touch.
     """
-    sc = _Scanner(text)
-    sc.skip_ws()
-    if sc.peek() != "<":
-        raise sc.fail("pattern must start with '<'")
-    sc.advance()
+    # (1-based column, token) pairs; the empty token marks the end of input.
+    end = [(len(text) + 1, "")]
+    tokens = iter([(m.start() + 1, m.group()) for m in _TOKEN.finditer(text)] + end)
+    column, token = next(tokens)
+    if token != "<":
+        raise PatternSyntaxError("pattern must start with '<'", column)
     elements: list[tuple[bool, list[str], NegMode | None]] = []
     while True:
-        sc.skip_ws()
-        ch = sc.peek()
-        if not ch:
-            raise sc.fail("pattern must end with '>'")
-        if ch == ">":
-            closing_column = sc.column
-            sc.advance()
+        column, token = next(tokens)
+        if token == ">":
             break
-        if ch in "!¬":
-            sc.advance()
-            bracket = sc.peek()
-            if bracket in _NEG_BRACKETS:
-                closing, mode = _NEG_BRACKETS[bracket]
-                open_column = sc.column
-                sc.advance()
-                items = sc.read_items(closing, open_column)
+        if not token:
+            raise PatternSyntaxError("pattern must end with '>'", column)
+        if token in ("!", "¬"):
+            # The negated item or bracket must follow the sign directly.
+            after = text[column : column + 1]
+            if after in _NEG_BRACKETS:
+                next(tokens)
+                closing, mode = _NEG_BRACKETS[after]
+                items = _read_items(tokens, closing, column + 1)
             else:
-                items, mode = [sc.read_item()], None
+                item_column, item = next(tokens)
+                if item_column != column + 1 or not item or item in RESERVED_CHARS:
+                    found = repr(after) if after else "end of input"
+                    raise PatternSyntaxError(
+                        f"expected an item, found {found}", column + 1
+                    )
+                items, mode = [item], None
             elements.append((True, items, mode))
-        elif ch == "(":
-            open_column = sc.column
-            sc.advance()
-            elements.append((False, sc.read_items(")", open_column), None))
-        elif ch in RESERVED_CHARS:
-            raise sc.fail(f"unexpected {ch!r}")
+        elif token == "(":
+            elements.append((False, _read_items(tokens, ")", column), None))
+        elif token in RESERVED_CHARS:
+            raise PatternSyntaxError(f"unexpected {token!r}", column)
         else:
-            elements.append((False, [sc.read_item()], None))
-    sc.skip_ws()
-    if sc.peek():
-        raise sc.fail("trailing input after '>'")
+            elements.append((False, [token], None))
+    trailing_column, token = next(tokens)
+    if token:
+        raise PatternSyntaxError("trailing input after '>'", trailing_column)
     if not elements:
-        raise PatternSyntaxError("pattern has no itemsets", closing_column)
+        raise PatternSyntaxError("pattern has no itemsets", column)
 
     positives: list[Itemset] = []
     negatives: list[Negative] = []
@@ -221,48 +196,36 @@ def render_sequence(sequence: Sequence, dictionary: Dictionary) -> str:
     return " ".join(parts)
 
 
+def _token_column(text: str, index: int) -> int:
+    """1-based column of the ``index``-th token of ``text``."""
+    return next(islice(_TOKEN.finditer(text), index, None)).start() + 1
+
+
 def _parse_native_line(line: str, lineno: int, dictionary: Dictionary) -> Sequence:
     itemsets: list[Itemset] = []
-    pos = 0
-    n = len(line)
-
-    def read_token(start: int) -> tuple[str, int]:
-        end = start
-        while end < n and not line[end].isspace() and line[end] not in RESERVED_CHARS:
-            end += 1
-        if end == start:
-            raise DatabaseParseError(
-                f"unexpected {line[start]!r}", lineno, start + 1
-            )
-        return line[start:end], end
-
-    while pos < n:
-        ch = line[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == "(":
-            open_col = pos + 1
-            pos += 1
-            items: list[int] = []
-            while True:
-                while pos < n and line[pos].isspace():
-                    pos += 1
-                if pos >= n:
-                    raise DatabaseParseError("unclosed '('", lineno, open_col)
-                if line[pos] == ")":
-                    pos += 1
-                    break
-                token, pos = read_token(pos)
+    items: list[int] = []
+    opened = -1  # token index of the unclosed '(', if any
+    for index, token in enumerate(_TOKEN.findall(line)):
+        if token not in RESERVED_CHARS:
+            if opened < 0:
+                itemsets.append(Itemset.of([dictionary.add(token)]))
+            else:
                 items.append(dictionary.add(token))
+        elif token == "(" and opened < 0:
+            opened, items = index, []
+        elif token == ")" and opened >= 0:
             if not items:
-                raise EmptyItemsetError("empty itemset '()'", lineno, open_col)
+                raise EmptyItemsetError(
+                    "empty itemset '()'", lineno, _token_column(line, opened)
+                )
             itemsets.append(Itemset.of(items))
-        elif ch in RESERVED_CHARS:
-            raise DatabaseParseError(f"unexpected {ch!r}", lineno, pos + 1)
+            opened = -1
         else:
-            token, pos = read_token(pos)
-            itemsets.append(Itemset.of([dictionary.add(token)]))
+            raise DatabaseParseError(
+                f"unexpected {token!r}", lineno, _token_column(line, index)
+            )
+    if opened >= 0:
+        raise DatabaseParseError("unclosed '('", lineno, _token_column(line, opened))
     return Sequence(tuple(itemsets))
 
 
