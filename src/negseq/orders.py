@@ -11,7 +11,7 @@ re-checkable counterexample, never prove it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain
 from typing import Iterable, Iterator, Sequence as SequenceABC
@@ -250,35 +250,24 @@ def equivalence_classes(
 class ContainmentGrid:
     """Containment bits for every (pattern, sequence) pair of a space.
 
-    A pair's behaviour under all eight relations is one byte, so scans reduce
-    to a 256-entry histogram plus first-occurrence positions, which keeps the
-    verification suites well inside their time budgets.
+    For each pattern and relation the grid keeps one bitmask over sequence
+    indexes, so every scan is a few integer operations per pattern, which
+    keeps the verification suites well inside their time budgets.
     """
 
     def __init__(self, patterns: Iterable[NegPattern], sequences: Iterable[Sequence]):
         self.patterns, self.sequences = list(patterns), list(sequences)
         if not self.patterns or not self.sequences:
             raise EmptySpaceError("pattern and sequence spaces must be non-empty")
-        n_seq = len(self.sequences)
-        counts = [0] * 256
-        first = [-1] * 256
         contained: list[list[int]] = [[0] * 8 for _ in range(len(self.patterns))]
-        flat = 0
-        for i, p in enumerate(self.patterns):
-            row = contained[i]
-            for j in range(n_seq):
-                bits = theta_bits(p, self.sequences[j])
-                counts[bits] += 1
-                if first[bits] < 0:
-                    first[bits] = flat
-                flat += 1
+        for p, row in zip(self.patterns, contained):
+            for j, s in enumerate(self.sequences):
+                bits = theta_bits(p, s)
                 for t in range(8):
                     if (bits >> t) & 1:
                         row[t] |= 1 << j
-        self._counts = counts
-        self._first = first
         self._contained = contained
-        self._n_seq = n_seq
+        self._n_seq = len(self.sequences)
 
     @property
     def pairs(self) -> int:
@@ -293,19 +282,16 @@ class ContainmentGrid:
         ``theta2``; the first counterexample in pattern-major order is
         reported."""
         t, t2 = theta.index, theta2.index
-        best = -1
-        for value in range(256):
-            if self._counts[value] and (value >> t) & 1 and not (value >> t2) & 1:
-                if best < 0 or self._first[value] < best:
-                    best = self._first[value]
-        if best < 0:
-            return Verdict(True, None, self.pairs)
-        i, j = divmod(best, self._n_seq)
-        return Verdict(
-            False,
-            Counterexample(self.patterns[i], None, self.sequences[j]),
-            best + 1,
-        )
+        for i, row in enumerate(self._contained):
+            bad = row[t] & ~row[t2]
+            if bad:
+                j = (bad & -bad).bit_length() - 1
+                return Verdict(
+                    False,
+                    Counterexample(self.patterns[i], None, self.sequences[j]),
+                    i * self._n_seq + j + 1,
+                )
+        return Verdict(True, None, self.pairs)
 
     def equivalence_partition(
         self, thetas: SequenceABC[Theta] = THETAS
@@ -409,6 +395,8 @@ class SpaceBounds:
     def __post_init__(self):
         if not 1 <= self.alphabet <= 6:
             raise ValueError("fill alphabet must use between 1 and 6 items")
+        if any(getattr(self, f.name) < 1 for f in fields(self)):
+            raise ValueError("fill size bounds must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -684,6 +672,8 @@ def verify_invariants(draws: int = 10000, seed: int = 94001) -> tuple[InvariantC
     across the eight relations, with equality of soft and strict supports
     under total non-inclusion.
     """
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     rng = random.Random(seed)
     table = known_dominance()
     names = (

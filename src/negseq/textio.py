@@ -289,8 +289,9 @@ def parse_database(text: str, format: str = "native") -> SequenceDatabase:
 def load_database(path: str, format: str = "native") -> SequenceDatabase:
     """Load a sequence database.
 
-    native: one sequence per line, itemsets whitespace-separated, multi-item
-    itemsets parenthesized (``(b c) f a``), ``#`` starts a comment line.
+    native: one sequence per line, tokens as in the module docstring,
+    multi-item itemsets parenthesized (``(b c) f a``), ``#`` starts a comment
+    line.
     spmf: space-separated integer items, ``-1`` ends an itemset, ``-2`` ends
     the sequence. The dictionary is built in first-appearance order.
     """

@@ -283,6 +283,22 @@ class TestCleanErrors:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--suite", "lemmas", "--draws", "-5"),
+            ("--suite", "lemmas", "--draws", "0"),
+            ("--suite", "lemmas", "--fill-seq-len", "0"),
+            ("--suite", "dominance", "--fill-seq-len", "0"),
+            ("--suite", "dominance", "--fill-seq-itemset", "-3"),
+            ("--suite", "antimono", "--fill-max-neg", "0"),
+        ],
+    )
+    def test_vacuous_bounds_are_usage_errors(self, capsys, argv):
+        code, out, err = invoke(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_dominance_suite_passes(self, capsys):
         code, out, _ = invoke(capsys, "verify", "--suite", "dominance")
         assert code == 0

@@ -10,9 +10,12 @@ from negseq import (
     NegPattern,
     Negative,
     PatternSyntaxError,
+    Sequence,
+    SequenceDatabase,
     StructureError,
     dump_database,
     load_database,
+    make_itemset,
     parse_database,
     parse_pattern,
     parse_sequence,
@@ -20,7 +23,8 @@ from negseq import (
     render_sequence,
     save_database,
 )
-from negseq.textio import aligned_rows, csv_row
+from negseq.model import RESERVED_CHARS
+from negseq.textio import _TOKEN, aligned_rows, csv_row
 
 
 class TestParsePattern:
@@ -229,6 +233,78 @@ class TestNativeFormat:
     def test_lines_split_as_str_splitlines(self):
         # A form feed ends a line, as it does for str.splitlines.
         assert len(parse_database("x\x0cy")) == 2
+
+
+def scan_tokens(text):
+    """The token rule as a character loop: (start, token) for each maximal run
+    of non-space, non-reserved characters and for each reserved character."""
+    tokens, start = [], None
+    for pos, ch in enumerate(text + " "):
+        if start is not None and (ch.isspace() or ch in RESERVED_CHARS):
+            tokens.append((start, text[start:pos]))
+            start = None
+        if ch in RESERVED_CHARS:
+            tokens.append((pos, ch))
+        elif start is None and not ch.isspace():
+            start = pos
+    return tokens
+
+
+# Item characters, every reserved character and whitespace, including the
+# form feed and newline that also end database lines.
+PARSER_TEXT = st.text(
+    st.sampled_from(["a", "b", "é", " ", "\t", "\x0c", "\n", *sorted(RESERVED_CHARS)])
+)
+
+
+@given(st.one_of(st.text(), PARSER_TEXT))
+def test_token_regex_agrees_with_character_loop(text):
+    assert [(m.start(), m.group()) for m in _TOKEN.finditer(text)] == scan_tokens(text)
+
+
+@st.composite
+def native_databases(draw):
+    token = st.text(
+        st.characters(exclude_characters=RESERVED_CHARS, exclude_categories=["Cs"]),
+        min_size=1,
+        max_size=4,
+    ).filter(lambda t: not any(ch.isspace() for ch in t))
+    pool = draw(st.lists(token, min_size=1, max_size=6, unique=True))
+    itemset = st.lists(st.sampled_from(pool), min_size=1, max_size=3)
+    dictionary = Dictionary()
+    sequences = []
+    for _ in range(draw(st.integers(0, 4))):
+        steps = draw(st.lists(itemset, min_size=1, max_size=4))
+        sequences.append(Sequence(tuple(make_itemset(s, dictionary) for s in steps)))
+    return SequenceDatabase(tuple(sequences), dictionary)
+
+
+@given(native_databases())
+def test_dump_parse_dump_round_trip(db):
+    text = dump_database(db)
+    again = parse_database(text)
+    assert again.sequences == db.sequences
+    assert list(again.dictionary) == list(db.dictionary)
+    assert dump_database(again) == text
+
+
+@given(st.one_of(st.text(), PARSER_TEXT))
+def test_pattern_errors_point_into_the_text(text):
+    try:
+        parse_pattern(text, Dictionary())
+    except PatternSyntaxError as error:
+        assert 1 <= error.column <= len(text) + 1
+    except StructureError:
+        pass  # alternation errors carry no column
+
+
+@given(st.one_of(st.text(), PARSER_TEXT))
+def test_database_errors_point_into_their_line(text):
+    try:
+        parse_database(text)
+    except DatabaseParseError as error:
+        line = text.splitlines()[error.line - 1]
+        assert 1 <= error.column <= len(line) + 1
 
 
 class TestSpmfFormat:
