@@ -383,7 +383,7 @@ _WITNESS_SEQUENCES = (
 
 @dataclass(frozen=True)
 class SpaceBounds:
-    """Caps for the enumerated filler of a verification space."""
+    """Caps for the enumerated filler of a verification space, all at least 1."""
 
     alphabet: int = 3
     max_positives: int = 2
