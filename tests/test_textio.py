@@ -250,14 +250,15 @@ def scan_tokens(text):
     return tokens
 
 
-# Item characters, every reserved character and whitespace, including the
-# form feed and newline that also end database lines.
-PARSER_TEXT = st.text(
-    st.sampled_from(["a", "b", "é", " ", "\t", "\x0c", "\n", *sorted(RESERVED_CHARS)])
+# Any text, or text over item characters, every reserved character and
+# whitespace, including the form feed and newline that also end database lines.
+PARSER_TEXT = st.one_of(
+    st.text(),
+    st.text(st.sampled_from(["a", "b", "é", " ", "\t", "\x0c", "\n", *sorted(RESERVED_CHARS)])),
 )
 
 
-@given(st.one_of(st.text(), PARSER_TEXT))
+@given(PARSER_TEXT)
 def test_token_regex_agrees_with_character_loop(text):
     assert [(m.start(), m.group()) for m in _TOKEN.finditer(text)] == scan_tokens(text)
 
@@ -288,7 +289,7 @@ def test_dump_parse_dump_round_trip(db):
     assert dump_database(again) == text
 
 
-@given(st.one_of(st.text(), PARSER_TEXT))
+@given(PARSER_TEXT)
 def test_pattern_errors_point_into_the_text(text):
     try:
         parse_pattern(text, Dictionary())
@@ -298,7 +299,7 @@ def test_pattern_errors_point_into_the_text(text):
         pass  # alternation errors carry no column
 
 
-@given(st.one_of(st.text(), PARSER_TEXT))
+@given(PARSER_TEXT)
 def test_database_errors_point_into_their_line(text):
     try:
         parse_database(text)
