@@ -380,6 +380,18 @@ class TestContains:
             assert (report.witness, report.violator) == ((1, 2, 3), (1, 2, 5))
             assert report.contained == (theta.occurrence is Occurrence.WEAK)
 
+    def test_violator_comes_from_the_last_failing_slot(self, abc_dict):
+        # Both slots can fail: (1, 5, 7) puts c in the first gap, (1, 2, 7)
+        # and (1, 5, 7) put d in the second. The first placement that fails
+        # the first slot is (1, 5, 7), but (1, 2, 7) fails the second slot
+        # and comes first.
+        p = parse_pattern("<a !c b !d e>", abc_dict)
+        s = parse_sequence("a b e c b d e", abc_dict)
+        for theta in THETAS:
+            report = contains(p, s, theta)
+            assert (report.witness, report.violator) == ((1, 2, 3), (1, 2, 7))
+            assert report.contained == (theta.occurrence is Occurrence.WEAK)
+
     def test_blocked_sequence_fails_all_eight(self, abc_dict):
         p = parse_pattern("<a !(b c) d>", abc_dict)
         s = parse_sequence("a (b c) e d", abc_dict)
