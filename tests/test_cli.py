@@ -1,10 +1,15 @@
+import io
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from negseq import Theta, contains, load_database, parse_pattern
+from negseq import THETAS, Theta, contains, load_database, parse_pattern
 from negseq.cli import run
+from negseq.model import RESERVED_CHARS
 from conftest import ABSENCE_TEXT, FIG1_TEXT, TABLE1_TEXT
 
 
@@ -405,3 +410,76 @@ class TestSpmfThroughCli:
         )
         assert code == 0
         assert out == "1\n"
+
+
+# --- the exit-code contract, fuzzed -------------------------------------------
+
+# Text over a tiny alphabet: two items, a non-ASCII one, an SPMF item and both
+# SPMF markers, and every reserved character.
+CLI_WORDS = ["a", "b", "é", "1", "-1", "-2", *sorted(RESERVED_CHARS)]
+CLI_TEXT = st.lists(st.sampled_from(CLI_WORDS), max_size=8).flatmap(
+    lambda words: st.sampled_from([" ".join(words), "".join(words)])
+)
+# Valid lines and patterns of each database format.
+VALID = {
+    "native": (["a (b é) a", "b a é", "a"], ["<a>", "<a !b a>", "<a !(b é) a>"]),
+    "spmf": (["1 -1 1 -1 -2", "1 -1 -2"], ["<1>", "<1 !1 1>"]),
+}
+CLI_THETAS = st.sampled_from([t.spell() for t in THETAS] + ["weak-soft"])
+
+
+@st.composite
+def cli_cases(draw):
+    """Argv that argparse accepts, without ``--db``, and the database text.
+    Every value is attached with ``=``, so a value that starts with ``-``
+    still parses."""
+    db_format = draw(st.sampled_from(sorted(VALID)))
+    lines, patterns = VALID[db_format]
+    valid_line = st.sampled_from(lines)
+    text = "\n".join(draw(st.one_of(
+        st.lists(valid_line, max_size=3),
+        st.lists(st.one_of(valid_line, CLI_TEXT), max_size=4),
+    )))
+    pattern = st.one_of(st.sampled_from(patterns), CLI_TEXT)
+    command = draw(st.sampled_from(["match", "support", "report", "mine"]))
+    argv = [command, "--db-format=" + db_format]
+    if command == "mine":
+        argv += [
+            "--theta=" + draw(CLI_THETAS),
+            f"--minsup={draw(st.integers(0, 3))}",
+            "--engine=" + draw(st.sampled_from(["pruned", "bruteforce"])),
+            "--max-positives=2", "--max-itemset-size=1", "--max-neg-size=1",
+        ]
+    elif command == "report":
+        argv += ["--pattern=" + p for p in draw(st.lists(pattern, min_size=1, max_size=2))]
+        argv.append("--format=" + draw(st.sampled_from(["text", "csv"])))
+    else:
+        argv.append("--pattern=" + draw(pattern))
+        if draw(st.booleans()):
+            argv.append("--all-thetas")
+        else:
+            argv.append("--theta=" + draw(CLI_THETAS))
+        if command == "match" and draw(st.booleans()):
+            argv.append("--explain")
+    return argv, text
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_cases())
+def test_exit_codes_and_streams(case):
+    argv, text = case
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "db.txt"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run([*argv, f"--db={path}"])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+    elif argv[0] == "mine":
+        assert err.startswith("# engine=") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
