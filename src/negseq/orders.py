@@ -273,10 +273,6 @@ class ContainmentGrid:
     def pairs(self) -> int:
         return len(self.patterns) * self._n_seq
 
-    def contained_mask(self, pattern_index: int, theta: Theta) -> int:
-        """Bitmask over sequence indexes contained under ``theta``."""
-        return self._contained[pattern_index][theta.index]
-
     def dominance(self, theta: Theta, theta2: Theta) -> Verdict:
         """Search for a pair contained under ``theta`` but not under
         ``theta2``; the first counterexample in pattern-major order is
