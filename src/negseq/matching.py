@@ -373,59 +373,31 @@ def _first_failing(
     first: list[int],
     last: list[int],
 ) -> Embedding | None:
-    """The lexicographically first embedding that fails a slot, if any."""
-    k = len(pos_masks)
-    # failing[i]: ascending indices where positive i can sit and still
-    # complete to a placement of itself and the positives after it that
-    # fails a slot. The widest gap of slot i from index j ends at
-    # last[i + 1], and fails if any gap from j does.
-    failing: list[list[int]] = [[]] * k
-    for i in range(k - 2, -1, -1):
-        pmask = pos_masks[i]
-        later = failing[i + 1][-1] if failing[i + 1] else -1
+    """The lexicographically first embedding that fails a slot, if any,
+    given that ``first``, the greedy earliest placement, passes every slot.
+
+    Some placement fails slot i iff its widest gap fails, the one from
+    ``first[i]`` to ``last[i + 1]``, since every slot test is monotone in the
+    gap. The first placement that fails slot i then keeps ``first[:i + 1]``,
+    puts positive i + 1 at the first index j up to ``last[i + 1]`` that holds
+    it and whose gap from ``first[i]`` fails, and places the rest greedily
+    from j on. As ``first`` passes slot i, j > ``first[i + 1]``: a later slot
+    that can fail keeps ``first[i + 1]`` and so gives an earlier placement.
+    The violator therefore comes from the last slot that can fail.
+    """
+    for i in range(len(tests) - 1, -1, -1):
         if tests[i] is None:
-            found = [j for j in range(first[i], later) if not pmask & ~seq_masks[j]]
-        else:
-            qmask, test = tests[i]
-            found = []
-            covered = 0
-            for j in range(last[i + 1] - 1, first[i] - 1, -1):
-                if (covered == qmask or j < later) and not pmask & ~seq_masks[j]:
-                    found.append(j)
-                if covered != qmask:
-                    covered |= _ruled_out(qmask, test, seq_masks[j])
-            found.reverse()
-        failing[i] = found
-    if not failing[0]:
-        return None
-    index = [failing[0][0]]
-    failed = False  # whether a slot already fails between the chosen indices
-    for i in range(k - 1):
-        a = index[-1]
-        pmask = pos_masks[i + 1]
-        j = a + 1
-        if failed:
-            while pmask & ~seq_masks[j]:
-                j += 1
-            index.append(j)
             continue
-        # The next index is either the first entry of failing[i + 1] after
-        # a, or an earlier (or equal) index whose gap from a fails slot i,
-        # after which any completion fails.
-        level = failing[i + 1]
-        x = bisect_right(level, a)
-        stop = level[x] if x < len(level) else last[i + 1]
-        if tests[i] is not None:
-            qmask, test = tests[i]
-            covered = 0
-            while j <= stop:
-                if covered == qmask and not pmask & ~seq_masks[j]:
-                    failed = True
-                    break
-                covered |= _ruled_out(qmask, test, seq_masks[j])
-                j += 1
-        index.append(j if failed else level[x])
-    return tuple(j + 1 for j in index)
+        qmask, test = tests[i]
+        pmask = pos_masks[i + 1]
+        covered = 0  # what the gap from first[i] to j rules out of qmask
+        for j in range(first[i] + 1, last[i + 1] + 1):
+            if covered == qmask and not pmask & ~seq_masks[j]:
+                # The rest embeds from j on, since j <= last[i + 1].
+                rest = _earliest(pos_masks[i + 1 :], seq_masks, j)
+                return tuple(x + 1 for x in first[: i + 1] + rest)
+            covered |= _ruled_out(qmask, test, seq_masks[j])
+    return None
 
 
 # Relation bit t is THETAS[t]: strong occurrence under COMBOS[c] is bit 2c,
