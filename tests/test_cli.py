@@ -425,6 +425,7 @@ VALID = {
     "native": (["a (b é) a", "b a é", "a"], ["<a>", "<a !b a>", "<a !(b é) a>"]),
     "spmf": (["1 -1 1 -1 -2", "1 -1 -2"], ["<1>", "<1 !1 1>"]),
 }
+# The eight relation names and a broken one.
 CLI_THETAS = st.sampled_from([t.spell() for t in THETAS] + ["weak-soft"])
 
 
