@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_match.add_argument(
         "--explain",
         action="store_true",
-        help="show witness/violator embeddings (single-theta mode)",
+        help="show witness/violator embeddings; needs --theta",
     )
 
     p_support = sub.add_parser("support", help="support count(s) of a pattern")
@@ -133,6 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_match(args) -> int:
+    if args.all_thetas and args.explain:
+        raise ValueError("--explain needs --theta; --all-thetas prints no embeddings")
     db = load_database(args.db, args.db_format)
     pattern = parse_pattern(args.pattern, db.dictionary)
     out = sys.stdout

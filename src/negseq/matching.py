@@ -1,9 +1,15 @@
 """The eight containment relations between negative patterns and sequences.
 
 Builds up from itemset non-inclusion through soft/strict embeddings and
-weak/strong occurrence to support counting. All functions are pure; support
-over a database could be evaluated per sequence in parallel without changing
-the count, though this implementation is sequential.
+weak/strong occurrence to support counting. All functions are pure.
+
+Two engines decide containment. The per-sequence core decides one pattern
+in one sequence; :func:`contains` (with witness, violator and count),
+:func:`is_contained`, :func:`support`, :func:`theta_bits`,
+:func:`all_theta_supports` and the miner use it. The vertical engine,
+:func:`theta_masks`, decides a list of patterns against a list of sequences
+laid out as one bit string; ``orders.ContainmentGrid`` builds the
+verification grid with it, and the tests check it against the core.
 
 Every relation quantifies over all placements of the positives, of which
 there can be exponentially many. No decision enumerates them: one containment
@@ -17,6 +23,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, itemgetter, or_
 from typing import Iterator
 
 from .model import (
@@ -154,6 +162,8 @@ _MODE_TEST = {NegMode.STRICT_PARTIAL: 1, NegMode.SOFT_PARTIAL: 2, NegMode.TOTAL:
 # The slot test each (embedding, non-inclusion) combo of COMBOS applies:
 # strict-total and soft-total test the same.
 _COMBO_TEST = (1, 2, 4, 4)
+# The three slot tests: strict-partial, soft-partial and total.
+_TESTS = (1, 2, 4)
 
 # The tests, strongest first, each with the combos (as bits of COMBOS order)
 # that a gap passing it passes: it passes every test after it as well.
@@ -562,3 +572,205 @@ def all_theta_supports(p: NegPattern, db: SequenceDatabase) -> tuple[int, ...]:
             if (bits >> t) & 1:
                 counts[t] += 1
     return tuple(counts)
+
+
+# --- the vertical engine ----------------------------------------------------
+#
+# The sequences form one bit string: a separator cell before each sequence,
+# one cell per itemset, and a separator at the end. A big int over the cells
+# is a set of cells, as in SPAM's vertical bitmaps (Ayres, Flannick, Gehrke &
+# Yiu, KDD 2002), so one integer operation acts on every sequence at once.
+# Each slot test becomes a set of blocker cells, and a reach pass carries the
+# positives' possible places across a slot with one add-with-carry run fill
+# per blocker set (Allison & Dix, IPL 1986). A pass that reaches the
+# separator at the end of a sequence has found the pattern in it.
+
+# _BIT_REVERSED[b] is byte b with its 8 bits in reverse order.
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _flood(seeds: int, free: int) -> int:
+    """From each seed, the seed, the run of free cells after it and the
+    first blocked cell after that run."""
+    return (((seeds & free) + free) ^ free) | seeds
+
+
+class _Layout:
+    """The cells of a list of sequences, with the cells of each item the
+    patterns use, in a forward and a reversed copy."""
+
+    def __init__(self, sequences: list[Sequence], items: int):
+        self.size = size = sum(len(s) for s in sequences) + len(sequences) + 1
+        self._bytes = (size + 7) // 8
+        rows = {x: bytearray(b"0" * size) for x in Itemset(items)}
+        ends = []  # the cell of each sequence's end separator
+        cell = 0
+        for s in sequences:
+            for mask in s.masks:
+                cell += 1
+                for x in Itemset(mask & items):
+                    rows[x][size - 1 - cell] = 0x31  # ord("1")
+            cell += 1
+            ends.append(cell)
+        self.sep = sum(1 << cell for cell in ends) | 1
+        self.free = ((1 << size) - 1) ^ self.sep
+        self.rfree = self.reverse(self.free)
+        self.cells = {x: int(row, 2) for x, row in rows.items()}
+        self.rcells = {x: self.reverse(v) for x, v in self.cells.items()}
+        # format(marks, ...)[size - 1 - c] is the bit of cell c; the getter
+        # reads the end separators last sequence first.
+        self._ends = itemgetter(*(size - 1 - cell for cell in reversed(ends)))
+        self._seq_masks: dict[int, int] = {}
+        self._blockers: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+
+    def reverse(self, cells: int) -> int:
+        """The same cells, numbered from the other end."""
+        raw = cells.to_bytes(self._bytes, "little").translate(_BIT_REVERSED)
+        return int.from_bytes(raw, "big") >> (8 * self._bytes - self.size)
+
+    def positive(self, pmask: int, cells: dict[int, int]) -> int:
+        """The cells that hold every item of ``pmask``."""
+        found = -1
+        for x in Itemset(pmask):
+            found &= cells[x]
+        return found
+
+    def sequence_mask(self, marks: int) -> int:
+        """Bit j set iff the end separator of sequence j is in ``marks``."""
+        mask = self._seq_masks.get(marks)
+        if mask is None:
+            text = format(marks, f"0{self.size}b")
+            mask = self._seq_masks[marks] = int("".join(self._ends(text)), 2)
+        return mask
+
+    def blockers(self, qmask: int, test: int) -> tuple[tuple[int, int], ...]:
+        """A slot test on negative ``qmask`` as blocker sets, each with the
+        free cells it leaves. A gap fails once it meets every blocker set:
+        strict-partial (1) has one per item, soft-partial (2) the cells
+        holding all of them, total (4) the cells holding any."""
+        key = (qmask, test)
+        found = self._blockers.get(key)
+        if found is None:
+            cells = [self.cells[x] for x in Itemset(qmask)]
+            if test == 2:
+                cells = [reduce(and_, cells)]
+            elif test == 4:
+                cells = [reduce(or_, cells)]
+            found = tuple((b, self.free & ~b) for b in cells)
+            self._blockers[key] = found
+        return found
+
+    def placements(
+        self, pos_masks: tuple[int, ...]
+    ) -> tuple[list[int], list[int], int] | None:
+        """Per positive, its earliest and its latest place in each sequence,
+        and the end separators of the sequences the positives embed in; None
+        when they embed in none. The latest places come from the earliest
+        places of the reversed positives on the reversed copy."""
+        free = self.free
+        first = []
+        after = -1
+        for pmask in pos_masks:
+            reach = after & self.positive(pmask, self.cells)
+            after = _flood(reach << 1, free)
+            first.append(reach & ~after)
+        embedded = after & self.sep
+        if not embedded:
+            return None
+        last = []
+        after = -1
+        for pmask in reversed(pos_masks):
+            reach = after & self.positive(pmask, self.rcells)
+            after = _flood(reach << 1, self.rfree)
+            last.append(self.reverse(reach & ~after))
+        last.reverse()
+        return first, last, embedded
+
+    def weak(self, p: NegPattern, test: int) -> int:
+        """End separators of the sequences where some placement passes every
+        slot of ``p`` under ``test``: the forward reach pass."""
+        free = self.free
+        pos_masks = p.positive_masks
+        reach = self.positive(pos_masks[0], self.cells)
+        for pmask, slot in zip(pos_masks[1:], _slot_tests(p, test)):
+            seeds = reach << 1
+            if slot is None:
+                after = _flood(seeds, free)
+            else:
+                after = 0
+                for _, unblocked in self.blockers(*slot):
+                    after |= _flood(seeds, unblocked)
+            reach = after & self.positive(pmask, self.cells)
+            if not reach:
+                return 0
+        return _flood(reach << 1, free) & self.sep
+
+    def fails(self, gap: int, qmask: int, test: int) -> int:
+        """End separators of the sequences whose ``gap`` cells fail the slot
+        test: they meet every blocker set."""
+        failing = self.sep
+        for blocked, _ in self.blockers(qmask, test):
+            failing &= _flood(gap & blocked, self.free)
+            if not failing:
+                break
+        return failing
+
+
+def theta_masks(patterns: list[NegPattern], sequences: list[Sequence]) -> list[list[int]]:
+    """For each pattern, the sequences that contain it under each relation,
+    in THETAS order: bit j of a mask stands for ``sequences[j]``.
+
+    The vertical engine: it decides each pattern against all the sequences
+    at once, in a few big-int operations per slot and test, and agrees
+    with :func:`theta_bits` pair by pair. Strong containment uses the widest
+    gap of each slot, as :func:`_decide` does; weak containment is one reach
+    pass per slot test. Patterns with the same positives share their
+    placements.
+    """
+    items = 0
+    for p in patterns:
+        for pmask in p.positive_masks:
+            items |= pmask
+        for _, qmask, _ in p.constrained_slots:
+            items |= qmask
+    layout = _Layout(sequences, items)
+    placed: dict[tuple[int, ...], tuple[list[int], list[int], int] | None] = {}
+    rows = []
+    for p in patterns:
+        pos_masks = p.positive_masks
+        if pos_masks not in placed:
+            placed[pos_masks] = layout.placements(pos_masks)
+        placements = placed[pos_masks]
+        if placements is None:
+            rows.append([0] * len(THETAS))
+            continue
+        first, last, embedded = placements
+        if not p.constrained_slots:
+            rows.append([layout.sequence_mask(embedded)] * len(THETAS))
+            continue
+        # The sequences where some placement fails a slot under each test.
+        failing = dict.fromkeys(_TESTS, 0)
+        for i, qmask, mode in p.constrained_slots:
+            # The widest gap of the slot: the cells after the earliest place
+            # of positive i and before the latest place of positive i + 1.
+            # Where the positives do not embed it may run on to the end
+            # separator, which ``embedded`` masks out below.
+            end = last[i + 1]
+            gap = _flood(first[i] << 1, layout.free & ~end) & ~end
+            if mode is None:
+                for test in _TESTS:
+                    failing[test] |= layout.fails(gap, qmask, test)
+            else:
+                pinned = layout.fails(gap, qmask, _MODE_TEST[mode])
+                for test in _TESTS:
+                    failing[test] |= pinned
+        strong = {test: embedded & ~failing[test] for test in _TESTS}
+        weak = {test: layout.weak(p, test) for test in _TESTS}
+        rows.append(
+            [
+                layout.sequence_mask(marks)
+                for test in _COMBO_TEST
+                for marks in (strong[test], weak[test])
+            ]
+        )
+    return rows

@@ -40,6 +40,7 @@ from .matching import (
     non_inclusion,
     positive_embeddings,
     theta_bits,
+    theta_masks,
 )
 from .mining import PatternBounds, enumerate_patterns
 from .textio import parse_pattern, parse_sequence
@@ -252,21 +253,16 @@ class ContainmentGrid:
 
     For each pattern and relation the grid keeps one bitmask over sequence
     indexes, so every scan is a few integer operations per pattern, which
-    keeps the verification suites well inside their time budgets.
+    keeps the verification suites well inside their time budgets. The
+    vertical engine (:func:`~negseq.matching.theta_masks`) builds the masks,
+    deciding each pattern against all the sequences at once.
     """
 
     def __init__(self, patterns: Iterable[NegPattern], sequences: Iterable[Sequence]):
         self.patterns, self.sequences = list(patterns), list(sequences)
         if not self.patterns or not self.sequences:
             raise EmptySpaceError("pattern and sequence spaces must be non-empty")
-        contained: list[list[int]] = [[0] * 8 for _ in range(len(self.patterns))]
-        for p, row in zip(self.patterns, contained):
-            for j, s in enumerate(self.sequences):
-                bits = theta_bits(p, s)
-                for t in range(8):
-                    if (bits >> t) & 1:
-                        row[t] |= 1 << j
-        self._contained = contained
+        self._contained = theta_masks(self.patterns, self.sequences)
         self._n_seq = len(self.sequences)
 
     @property

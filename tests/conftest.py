@@ -1,6 +1,6 @@
 import pytest
 
-from negseq import Dictionary
+from negseq import THETAS, Dictionary, theta_bits
 from negseq.textio import parse_database
 
 # Non-inclusion comparison dataset: five sequences, each containing exactly
@@ -51,3 +51,18 @@ def absence_db():
 @pytest.fixture
 def abc_dict():
     return Dictionary("abcdef")
+
+
+def pairwise_masks(patterns, sequences):
+    """The rows of a containment grid, per pattern one mask over sequence
+    indexes for each relation, built pair by pair with theta_bits."""
+    rows = []
+    for p in patterns:
+        row = [0] * len(THETAS)
+        for j, s in enumerate(sequences):
+            bits = theta_bits(p, s)
+            for t in range(len(THETAS)):
+                if bits >> t & 1:
+                    row[t] |= 1 << j
+        rows.append(row)
+    return rows

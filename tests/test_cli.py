@@ -132,6 +132,16 @@ class TestMatchCommand:
         assert matrix["3"] == ["true", "true", "true", "true", "false", "false", "false", "false"]
         assert matrix["4"] == ["true"] * 8
 
+    def test_explain_with_all_thetas_is_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "one.db"
+        path.write_text("a b a\n")
+        code, out, err = invoke(
+            capsys, "match", "--db", str(path),
+            "--pattern", "<a !b a>", "--all-thetas", "--explain",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --explain needs --theta; --all-thetas prints no embeddings\n"
+
     def test_no_embedding_detail(self, capsys, tmp_path):
         path = tmp_path / "one.db"
         path.write_text("b\n")

@@ -30,9 +30,10 @@ from negseq import (
     support,
     theta_bits,
 )
-from negseq.matching import weak_strong_support
+from negseq.matching import theta_masks, weak_strong_support
 from negseq.orders import random_pattern, random_sequence
 from negseq.textio import parse_pattern, parse_sequence
+from conftest import pairwise_masks
 
 SOFT, STRICT = EmbeddingKind.SOFT, EmbeddingKind.STRICT
 PARTIAL, TOTAL = NonInclusion.PARTIAL, NonInclusion.TOTAL
@@ -453,3 +454,74 @@ class TestSupport:
             weak, strong = weak_strong_support(p, db, emb, TOTAL)
             assert weak == counts[Theta(Occurrence.WEAK, emb, TOTAL).index]
             assert strong == counts[Theta(Occurrence.STRONG, emb, TOTAL).index]
+
+
+# --- the vertical engine against the per-sequence core -------------------------
+
+
+def vertical_rows(patterns, sequences):
+    rows = theta_masks(patterns, sequences)
+    assert rows == pairwise_masks(patterns, sequences)
+    return rows
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_vertical_engine_agrees_with_theta_bits(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    alphabet = rng.randint(2, 4)
+    patterns = [
+        with_random_modes(rng, random_pattern(
+            rng, alphabet=alphabet, max_positives=6, max_itemset_size=2,
+            max_neg_size=min(3, alphabet),
+        ))
+        for _ in range(rng.randint(1, 6))
+    ]
+    sequences = [
+        random_sequence(rng, alphabet=alphabet, max_len=14, max_itemset_size=min(3, alphabet))
+        for _ in range(rng.randint(1, 6))
+    ]
+    for _ in range(rng.randint(0, 2)):
+        sequences.insert(rng.randint(0, len(sequences)), Sequence(()))
+    vertical_rows(patterns, sequences)
+
+
+class TestVerticalEdgeCases:
+    def test_empty_sequence_between_two_others(self, abc_dict):
+        sequences = [
+            parse_sequence("a b", abc_dict),
+            Sequence(()),
+            parse_sequence("a c b", abc_dict),
+        ]
+        p = parse_pattern("<a !c b>", abc_dict)
+        strong = THETAS.index(Theta.parse("strong-soft-total"))
+        assert vertical_rows([p], sequences)[0][strong] == 0b001
+
+    def test_pattern_longer_than_every_sequence(self, abc_dict):
+        sequences = [parse_sequence(text, abc_dict) for text in ("a a", "a", "a b a")]
+        p = parse_pattern("<a a a a>", abc_dict)
+        assert vertical_rows([p], sequences) == [[0] * 8]
+
+    def test_one_positive(self, abc_dict):
+        sequences = [parse_sequence(text, abc_dict) for text in ("b", "(a b) c", "c a")]
+        p = parse_pattern("<a>", abc_dict)
+        assert vertical_rows([p], sequences) == [[0b110] * 8]
+
+    def test_negative_absent_from_every_sequence(self, abc_dict):
+        sequences = [parse_sequence(text, abc_dict) for text in ("a b c", "c a b b")]
+        p = parse_pattern("<a !(d e) b>", abc_dict)
+        assert vertical_rows([p], sequences) == [[0b11] * 8]
+
+    def test_all_slots_pinned(self, abc_dict):
+        sequences = [
+            parse_sequence(text, abc_dict)
+            for text in ("a b c d", "a (b c) d", "a c d b d", "a d")
+        ]
+        p = parse_pattern("<a !{b c} d !|a b| d>", abc_dict)
+        rows = vertical_rows([p], sequences)
+        assert len(set(rows[0][0::2])) == len(set(rows[0][1::2])) == 1
+
+    def test_positive_item_absent_from_the_space(self, abc_dict):
+        sequences = [parse_sequence(text, abc_dict) for text in ("a b", "b a")]
+        patterns = [parse_pattern(text, abc_dict) for text in ("<a !b f>", "<(a f)>", "<a b>")]
+        assert vertical_rows(patterns, sequences) == [[0] * 8, [0] * 8, [0b01] * 8]

@@ -35,6 +35,7 @@ from negseq.orders import (
     verify_invariants,
 )
 from negseq.textio import parse_pattern, parse_sequence
+from conftest import pairwise_masks
 
 PARTIAL, TOTAL = NonInclusion.PARTIAL, NonInclusion.TOTAL
 
@@ -275,6 +276,12 @@ class TestDominanceScan:
             ContainmentGrid([], [parse_sequence("a", d)])
         with pytest.raises(EmptySpaceError):
             ContainmentGrid([parse_pattern("<a>", d)], [])
+
+    @pytest.mark.parametrize("singleton", [False, True])
+    def test_grid_masks_equal_pairwise_theta_bits(self, singleton):
+        space = default_space(singleton_negatives=singleton)
+        grid = ContainmentGrid(space.patterns, space.sequences)
+        assert grid._contained == pairwise_masks(space.patterns, space.sequences)
 
     def test_grid_agrees_with_naive_scan(self):
         rng = random.Random(11)
