@@ -9,7 +9,20 @@ from hypothesis import given, settings, strategies as st
 
 from negseq import THETAS, Theta, contains, load_database, parse_pattern
 from negseq.cli import run
-from negseq.model import RESERVED_CHARS
+from negseq.model import RESERVED_CHARS, Dictionary
+from negseq.orders import (
+    AntiMonotonicityCheck,
+    AntiMonotonicityReport,
+    Counterexample,
+    Dominance,
+    DominanceCheck,
+    DominanceReport,
+    InvariantCheck,
+    OrderKind,
+    Verdict,
+    known_dominance,
+)
+from negseq.textio import dominance_table_to_text, parse_sequence
 from conftest import ABSENCE_TEXT, FIG1_TEXT, TABLE1_TEXT
 
 
@@ -376,6 +389,98 @@ def test_verify_output_matches_golden(capsys, suite, extra, fmt):
     code, out, _ = invoke(capsys, "verify", "--suite", suite, *extra, "--format", fmt)
     expected = (GOLDEN / f"verify_{suite}_{fmt}.txt").read_text()
     assert f"exit {code}\n" + out == expected
+
+
+def _failing_reports():
+    # One crafted failing check per case, in the default space's dictionary.
+    d = Dictionary("abcdef")
+    p, p2 = parse_pattern("<a !b c>", d), parse_pattern("<a !b c d>", d)
+    s = parse_sequence("a c d a b c", d)
+    strong, weak = Theta.parse("strong-soft-total"), Theta.parse("weak-soft-total")
+    refuted = Verdict(False, Counterexample(p, None, s), 7)
+    return {
+        "dominance": DominanceReport(
+            (DominanceCheck(weak, strong, Dominance.DOMINATES, refuted),), 2, 3
+        ),
+        "antimono-refuted": AntiMonotonicityReport((
+            AntiMonotonicityCheck(
+                OrderKind.PREFIX_INCL, strong, True,
+                Verdict(False, Counterexample(p, p2, s), 5),
+            ),
+        )),
+        "antimono-holds": AntiMonotonicityReport((
+            AntiMonotonicityCheck(
+                OrderKind.EMBED_INCL, weak, False, Verdict(True, None, 12)
+            ),
+        )),
+        "lemmas": (
+            InvariantCheck(
+                "strong containment implies weak containment", 40, 3, "weak-soft-total"
+            ),
+        ),
+    }
+
+
+_DOMINANCE_TABLE = dominance_table_to_text(known_dominance())
+_FAILURE_CASES = [
+    (
+        "dominance", "verify_dominance", "text",
+        "dominance scan over 2 patterns x 3 sequences\n" + _DOMINANCE_TABLE
+        + "weak-soft-total vs strong-soft-total: expected dominates: VIOLATION "
+        "(scan disagrees with the known table)\n"
+        "result: 1 checks, 1 violations\n",
+    ),
+    (
+        "dominance", "verify_dominance", "csv",
+        "left,right,expected,scan,p,p2,s\n"
+        "weak-soft-total,strong-soft-total,dominates,refuted,<a !b c>,,<a c d a b c>\n",
+    ),
+    (
+        "antimono-refuted", "verify_anti_monotonicity", "text",
+        "order prefix-incl, theta strong-soft-total: expected anti-monotone: VIOLATION "
+        "(counterexample p=<a !b c> p'=<a !b c d> s=<a c d a b c>)\n"
+        "result: 1 checks, 1 violations\n",
+    ),
+    (
+        "antimono-refuted", "verify_anti_monotonicity", "csv",
+        "order,theta,expected,scan,p,p2,s\n"
+        "prefix-incl,strong-soft-total,anti-monotone,refuted,"
+        "<a !b c>,<a !b c d>,<a c d a b c>\n",
+    ),
+    (
+        "antimono-holds", "verify_anti_monotonicity", "text",
+        "order embed-incl, theta weak-soft-total: expected violation: VIOLATION "
+        "(no violation over 12 triples)\n"
+        "result: 1 checks, 1 violations\n",
+    ),
+    (
+        "antimono-holds", "verify_anti_monotonicity", "csv",
+        "order,theta,expected,scan,p,p2,s\n"
+        "embed-incl,weak-soft-total,violation,holds,,,\n",
+    ),
+    (
+        "lemmas", "verify_invariants", "text",
+        "strong containment implies weak containment: VIOLATION "
+        "(3 failures, e.g. weak-soft-total)\n"
+        "result: 1 checks, 1 violations\n",
+    ),
+    (
+        "lemmas", "verify_invariants", "csv",
+        "check,draws,failures,example\n"
+        "strong containment implies weak containment,40,3,weak-soft-total\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("case, target, fmt, expected", _FAILURE_CASES)
+def test_verify_failure_output(capsys, monkeypatch, case, target, fmt, expected):
+    # The goldens cover all-ok runs only; a failing check must print its
+    # VIOLATION line or its cells and exit 1.
+    report = _failing_reports()[case]
+    monkeypatch.setattr(f"negseq.cli.{target}", lambda *args, **kwargs: report)
+    suite = case.split("-")[0]
+    code, out, err = invoke(capsys, "verify", "--suite", suite, "--format", fmt)
+    assert (code, out, err) == (1, expected, "")
 
 
 class TestReportCommand:
