@@ -65,18 +65,34 @@ def naive_dominance_scan(theta, theta2, patterns, sequences):
     return Verdict(True, None, checked)
 
 
-def naive_anti_monotonicity_scan(theta, order, patterns, sequences):
+def naive_anti_monotonicity_scan(theta, order, patterns, sequences, order_nonincl=TOTAL):
     """Triple-by-triple oracle for ContainmentGrid.anti_monotonicity."""
     checked = 0
     for p in patterns:
         for p2 in patterns:
-            if not pattern_order(order, p, p2):
+            if not pattern_order(order, p, p2, order_nonincl):
                 continue
             for s in sequences:
                 checked += 1
                 if is_contained(p2, s, theta) and not is_contained(p, s, theta):
                     return Verdict(False, Counterexample(p, p2, s), checked)
     return Verdict(True, None, checked)
+
+
+def greedy_equivalence_classes(grid, thetas):
+    """Mutual-dominance oracle for ContainmentGrid.equivalence_partition: each
+    relation joins the first class whose representative it dominates both
+    ways."""
+    classes = []
+    for theta in sorted(thetas, key=lambda t: t.index):
+        for cls in classes:
+            rep = cls[0]
+            if grid.dominance(theta, rep).holds and grid.dominance(rep, theta).holds:
+                cls.append(theta)
+                break
+        else:
+            classes.append([theta])
+    return tuple(tuple(cls) for cls in classes)
 
 
 @pytest.fixture
@@ -327,6 +343,25 @@ class TestEquivalenceClasses:
             frozenset({Occurrence.WEAK}),
         }
 
+    @pytest.mark.parametrize("singleton", [False, True])
+    def test_default_spaces_agree_with_greedy_oracle(self, singleton):
+        space = default_space(singleton_negatives=singleton)
+        grid = ContainmentGrid(space.patterns, space.sequences)
+        assert grid.equivalence_partition() == greedy_equivalence_classes(grid, THETAS)
+
+    def test_random_spaces_agree_with_greedy_oracle(self):
+        rng = random.Random(31)
+        for _ in range(50):
+            patterns = [random_pattern(rng, alphabet=3) for _ in range(rng.randint(1, 8))]
+            sequences = [
+                random_sequence(rng, alphabet=3, max_len=4) for _ in range(rng.randint(1, 8))
+            ]
+            thetas = rng.sample(THETAS, rng.randint(1, len(THETAS)))
+            grid = ContainmentGrid(patterns, sequences)
+            assert equivalence_classes(thetas, patterns, sequences) == (
+                greedy_equivalence_classes(grid, thetas)
+            )
+
 
 class TestAntiMonotonicityScan:
     def test_general_inclusion_fails_for_every_theta(self, d):
@@ -397,6 +432,23 @@ class TestAntiMonotonicityScan:
                 assert fast.checked_pairs == slow.checked_pairs
                 if not fast.holds:
                     assert fast.counterexample == slow.counterexample
+
+    @pytest.mark.parametrize("first", [TOTAL, PARTIAL])
+    def test_order_variants_agree_with_naive_scan_in_either_call_order(self, first):
+        # One grid answers both variants of an order; whichever is asked first
+        # must not leak into the other.
+        rng = random.Random(29)
+        patterns = [random_pattern(rng, alphabet=3, max_positives=2) for _ in range(12)]
+        sequences = [random_sequence(rng, alphabet=3, max_len=4) for _ in range(8)]
+        grid = ContainmentGrid(patterns, sequences)
+        theta = Theta.parse("weak-soft-total")
+        order = OrderKind.EMBED_INCL
+        verdicts = {}
+        for nonincl in (first, TOTAL if first is PARTIAL else PARTIAL):
+            verdicts[nonincl] = grid.anti_monotonicity(theta, order, nonincl)
+            slow = naive_anti_monotonicity_scan(theta, order, patterns, sequences, nonincl)
+            assert verdicts[nonincl] == slow
+        assert verdicts[TOTAL] != verdicts[PARTIAL]
 
 
 class TestSupportDominance:
