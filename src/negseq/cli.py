@@ -160,8 +160,6 @@ def _cmd_match(args) -> int:
                 cells.append(f"violator={_embedding_text(report.violator)}")
             elif report.total_positive_embeddings == 0:
                 cells.append("no-positive-embedding")
-            else:
-                cells.append("")
         print(csv_row(cells), file=out)
     return 0
 
@@ -213,14 +211,6 @@ def _space_bounds(args) -> SpaceBounds:
     )
 
 
-def _describe_counterexample(ce: Counterexample, dictionary) -> str:
-    parts = [f"p={render_pattern(ce.pattern, dictionary)}"]
-    if ce.pattern2 is not None:
-        parts.append(f"p'={render_pattern(ce.pattern2, dictionary)}")
-    parts.append(f"s=<{render_sequence(ce.sequence, dictionary)}>")
-    return " ".join(parts)
-
-
 def _counterexample_cells(ce: Counterexample | None, dictionary) -> list[str]:
     if ce is None:
         return ["", "", ""]
@@ -231,56 +221,63 @@ def _counterexample_cells(ce: Counterexample | None, dictionary) -> list[str]:
     ]
 
 
+def _scan_rows(suite: str, space) -> tuple[list[str], str, list[tuple[list, str, bool]]]:
+    """The CSV header, the text preamble and, per check, the CSV cells, the
+    text line and whether it is ok, for the dominance or antimono suite."""
+    if suite == "dominance":
+        report = verify_dominance(space)
+        keys, label, held = ["left", "right"], "{} vs {}", "confirmed on {} pairs"
+        preamble = (
+            f"dominance scan over {report.pattern_count} patterns x "
+            f"{report.sequence_count} sequences\n"
+            + dominance_table_to_text(known_dominance())
+        )
+        scans = [
+            (
+                [check.left.spell(), check.right.spell()],
+                "dominates"
+                if check.expected is Dominance.DOMINATES
+                else "does not dominate",
+                check,
+            )
+            for check in report.checks
+        ]
+    else:
+        report = verify_anti_monotonicity(space)
+        keys, label = ["order", "theta"], "order {}, theta {}"
+        held, preamble = "no violation over {} triples", ""
+        scans = [
+            (
+                [check.order.value, check.theta.spell()],
+                "anti-monotone" if check.expected_holds else "violation",
+                check,
+            )
+            for check in report.checks
+        ]
+    rows = []
+    for cells, expected, check in scans:
+        verdict = check.verdict
+        found = _counterexample_cells(verdict.counterexample, space.dictionary)
+        if suite == "dominance" and not check.ok:
+            detail = "scan disagrees with the known table"
+        elif verdict.holds:
+            detail = held.format(verdict.checked_pairs)
+        else:
+            detail = "counterexample " + " ".join(
+                f"{name}={cell}" for name, cell in zip(("p", "p'", "s"), found) if cell
+            )
+        status = "ok" if check.ok else "VIOLATION"
+        rows.append((
+            cells + [expected, "holds" if verdict.holds else "refuted"] + found,
+            f"{label.format(*cells)}: expected {expected}: {status} ({detail})",
+            check.ok,
+        ))
+    return keys + ["expected", "scan", "p", "p2", "s"], preamble, rows
+
+
 def _cmd_verify(args) -> int:
     bounds = _space_bounds(args)
     as_csv = args.format == "csv"
-    if args.suite == "dominance":
-        space = default_space(bounds)
-        report = verify_dominance(space)
-        if as_csv:
-            print(csv_row(["left", "right", "expected", "scan", "p", "p2", "s"]))
-        else:
-            print(
-                f"dominance scan over {report.pattern_count} patterns x "
-                f"{report.sequence_count} sequences"
-            )
-            sys.stdout.write(dominance_table_to_text(known_dominance()))
-        mismatches = 0
-        for check in report.checks:
-            expected = (
-                "dominates"
-                if check.expected is Dominance.DOMINATES
-                else "does not dominate"
-            )
-            if not check.ok:
-                mismatches += 1
-            if as_csv:
-                scan = "holds" if check.verdict.holds else "refuted"
-                cells = [check.left.spell(), check.right.spell(), expected, scan]
-                cells += _counterexample_cells(
-                    check.verdict.counterexample, space.dictionary
-                )
-                print(csv_row(cells))
-                continue
-            if check.ok:
-                if check.verdict.holds:
-                    detail = f"confirmed on {check.verdict.checked_pairs} pairs"
-                else:
-                    detail = "counterexample " + _describe_counterexample(
-                        check.verdict.counterexample, space.dictionary
-                    )
-                status = "ok"
-            else:
-                detail = "scan disagrees with the known table"
-                status = "VIOLATION"
-            print(
-                f"{check.left.spell()} vs {check.right.spell()}: "
-                f"expected {expected}: {status} ({detail})"
-            )
-        if not as_csv:
-            print(f"result: {len(report.checks)} checks, {mismatches} violations")
-        return 0 if report.ok else 1
-
     if args.suite == "equivalence":
         report = verify_equivalence(bounds)
         status = 0
@@ -315,58 +312,27 @@ def _cmd_verify(args) -> int:
             )
         return status
 
-    if args.suite == "antimono":
-        space = default_space(bounds)
-        report = verify_anti_monotonicity(space)
-        if as_csv:
-            print(csv_row(["order", "theta", "expected", "scan", "p", "p2", "s"]))
-        mismatches = 0
-        for check in report.checks:
-            expected = "anti-monotone" if check.expected_holds else "violation"
-            if not check.ok:
-                mismatches += 1
-            if as_csv:
-                scan = "holds" if check.verdict.holds else "refuted"
-                cells = [check.order.value, check.theta.spell(), expected, scan]
-                cells += _counterexample_cells(
-                    check.verdict.counterexample, space.dictionary
-                )
-                print(csv_row(cells))
-                continue
-            if check.verdict.holds:
-                detail = f"no violation over {check.verdict.checked_pairs} triples"
+    if args.suite == "lemmas":
+        header, preamble, rows = ["check", "draws", "failures", "example"], "", []
+        for check in verify_invariants(draws=args.draws, seed=args.seed):
+            if check.ok:
+                detail = f"ok ({check.draws} draws)"
             else:
-                detail = "counterexample " + _describe_counterexample(
-                    check.verdict.counterexample, space.dictionary
-                )
-            status = "ok" if check.ok else "VIOLATION"
-            print(
-                f"order {check.order.value}, theta {check.theta.spell()}: "
-                f"expected {expected}: {status} ({detail})"
-            )
-        if not as_csv:
-            print(f"result: {len(report.checks)} checks, {mismatches} violations")
-        return 0 if report.ok else 1
-
-    checks = verify_invariants(draws=args.draws, seed=args.seed)
-    bad = 0
+                detail = f"VIOLATION ({check.failures} failures, e.g. {check.example})"
+            cells = [check.name, check.draws, check.failures, check.example]
+            rows.append((cells, f"{check.name}: {detail}", check.ok))
+    else:
+        header, preamble, rows = _scan_rows(args.suite, default_space(bounds))
     if as_csv:
-        print(csv_row(["check", "draws", "failures", "example"]))
-    for check in checks:
-        if not check.ok:
-            bad += 1
-        if as_csv:
-            print(csv_row([check.name, check.draws, check.failures, check.example]))
-        elif check.ok:
-            print(f"{check.name}: ok ({check.draws} draws)")
-        else:
-            print(
-                f"{check.name}: VIOLATION ({check.failures} failures, "
-                f"e.g. {check.example})"
-            )
+        print(csv_row(header))
+    else:
+        sys.stdout.write(preamble)
+    for cells, line, _ in rows:
+        print(csv_row(cells) if as_csv else line)
+    violations = sum(not ok for _, _, ok in rows)
     if not as_csv:
-        print(f"result: {len(checks)} checks, {bad} violations")
-    return 0 if bad == 0 else 1
+        print(f"result: {len(rows)} checks, {violations} violations")
+    return 0 if violations == 0 else 1
 
 
 def _cmd_report(args) -> int:

@@ -264,85 +264,82 @@ class ContainmentGrid:
             raise EmptySpaceError("pattern and sequence spaces must be non-empty")
         self._contained = theta_masks(self.patterns, self.sequences)
         self._n_seq = len(self.sequences)
+        # Comparable pattern index pairs, per order and order variant.
+        self._comparable: dict[tuple[OrderKind, NonInclusion], tuple] = {}
 
     @property
     def pairs(self) -> int:
         return len(self.patterns) * self._n_seq
+
+    def _first_violation(
+        self, cases: Iterable[tuple[int, int, NegPattern, NegPattern | None]]
+    ) -> Verdict:
+        # Each case (a, b, p, p2) is checked over every sequence: the first
+        # case whose mask a holds a sequence that mask b lacks, and the
+        # lowest such sequence, give the counterexample.
+        index = -1
+        for index, (a, b, p, p2) in enumerate(cases):
+            bad = a & ~b
+            if bad:
+                j = (bad & -bad).bit_length() - 1
+                return Verdict(
+                    False,
+                    Counterexample(p, p2, self.sequences[j]),
+                    index * self._n_seq + j + 1,
+                )
+        return Verdict(True, None, (index + 1) * self._n_seq)
 
     def dominance(self, theta: Theta, theta2: Theta) -> Verdict:
         """Search for a pair contained under ``theta`` but not under
         ``theta2``; the first counterexample in pattern-major order is
         reported."""
         t, t2 = theta.index, theta2.index
-        for i, row in enumerate(self._contained):
-            bad = row[t] & ~row[t2]
-            if bad:
-                j = (bad & -bad).bit_length() - 1
-                return Verdict(
-                    False,
-                    Counterexample(self.patterns[i], None, self.sequences[j]),
-                    i * self._n_seq + j + 1,
-                )
-        return Verdict(True, None, self.pairs)
+        return self._first_violation(
+            (row[t], row[t2], p, None) for p, row in zip(self.patterns, self._contained)
+        )
 
     def equivalence_partition(
         self, thetas: SequenceABC[Theta] = THETAS
     ) -> tuple[tuple[Theta, ...], ...]:
-        order = sorted(thetas, key=lambda t: t.index)
-        classes: list[list[Theta]] = []
-        for theta in order:
-            for cls in classes:
-                rep = cls[0]
-                if (
-                    self.dominance(theta, rep).holds
-                    and self.dominance(rep, theta).holds
-                ):
-                    cls.append(theta)
-                    break
-            else:
-                classes.append([theta])
-        return tuple(tuple(cls) for cls in classes)
+        # Two relations dominate each other on the space iff they contain the
+        # same sequences for every pattern, that is, iff their columns are equal.
+        columns = list(zip(*self._contained))
+        classes: dict[tuple[int, ...], list[Theta]] = {}
+        for theta in sorted(thetas, key=lambda t: t.index):
+            classes.setdefault(columns[theta.index], []).append(theta)
+        return tuple(tuple(cls) for cls in classes.values())
 
     def comparable_pairs(
         self, order: OrderKind, order_nonincl: NonInclusion = NonInclusion.TOTAL
-    ) -> list[tuple[int, int]]:
-        fn = _ORDER_FUNCS[order]
-        pats = self.patterns
-        return [
-            (i, i2)
-            for i, p in enumerate(pats)
-            for i2, p2 in enumerate(pats)
-            if fn(p, p2, order_nonincl)
-        ]
+    ) -> tuple[tuple[int, int], ...]:
+        key = (order, order_nonincl)
+        if key not in self._comparable:
+            fn = _ORDER_FUNCS[order]
+            pats = self.patterns
+            self._comparable[key] = tuple(
+                (i, i2)
+                for i, p in enumerate(pats)
+                for i2, p2 in enumerate(pats)
+                if fn(p, p2, order_nonincl)
+            )
+        return self._comparable[key]
 
     def anti_monotonicity(
         self,
         theta: Theta,
         order: OrderKind,
         order_nonincl: NonInclusion = NonInclusion.TOTAL,
-        pairs: list[tuple[int, int]] | None = None,
     ) -> Verdict:
         """Search for a triple p < p', s with p' contained but p not contained.
 
         ``order_nonincl`` selects the total or reversed (partial) variant of
         the order; it is independent of ``theta``.
         """
-        if pairs is None:
-            pairs = self.comparable_pairs(order, order_nonincl)
-        checked = 0
-        for i, i2 in pairs:
-            upper = self._contained[i2][theta.index]
-            lower = self._contained[i][theta.index]
-            bad = upper & ~lower
-            if bad:
-                j = (bad & -bad).bit_length() - 1
-                return Verdict(
-                    False,
-                    Counterexample(self.patterns[i], self.patterns[i2], self.sequences[j]),
-                    checked + j + 1,
-                )
-            checked += self._n_seq
-        return Verdict(True, None, checked)
+        t, rows, pats = theta.index, self._contained, self.patterns
+        return self._first_violation(
+            (rows[i2][t], rows[i][t], pats[i], pats[i2])
+            for i, i2 in self.comparable_pairs(order, order_nonincl)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -589,14 +586,15 @@ def verify_anti_monotonicity(
     if space is None:
         space = default_space()
     grid = ContainmentGrid(space.patterns, space.sequences)
-    checks = []
-    for order in OrderKind:
-        pairs = grid.comparable_pairs(order)
-        for theta in THETAS:
-            verdict = grid.anti_monotonicity(theta, order, pairs=pairs)
-            expected = _expected_anti_monotone(order, theta)
-            checks.append(AntiMonotonicityCheck(order, theta, expected, verdict))
-    return AntiMonotonicityReport(tuple(checks))
+    checks = tuple(
+        AntiMonotonicityCheck(
+            order, theta, _expected_anti_monotone(order, theta),
+            grid.anti_monotonicity(theta, order),
+        )
+        for order in OrderKind
+        for theta in THETAS
+    )
+    return AntiMonotonicityReport(checks)
 
 
 # ---------------------------------------------------------------------------
