@@ -377,17 +377,26 @@ class TestVerifyCommand:
 
 
 GOLDEN = Path(__file__).parent / "golden"
+# A space with about 126 times the default's (pattern, sequence) pairs.
+FILL_4_4 = ("--fill-alphabet", "4", "--fill-seq-len", "4")
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 @pytest.mark.parametrize(
     "suite, extra",
-    [("dominance", ()), ("antimono", ()), ("equivalence", ()), ("lemmas", ("--draws", "500"))],
+    [
+        ("dominance", ()),
+        ("antimono", ()),
+        ("equivalence", ()),
+        ("lemmas", ("--draws", "500")),
+        pytest.param("dominance", FILL_4_4, id="dominance-fill-4-4"),
+    ],
 )
 def test_verify_output_matches_golden(capsys, suite, extra, fmt):
     # Each golden file holds the exit code on its first line, then stdout.
     code, out, _ = invoke(capsys, "verify", "--suite", suite, *extra, "--format", fmt)
-    expected = (GOLDEN / f"verify_{suite}_{fmt}.txt").read_text()
+    stem = f"{suite}_fill_4_4" if extra == FILL_4_4 else suite
+    expected = (GOLDEN / f"verify_{stem}_{fmt}.txt").read_text()
     assert f"exit {code}\n" + out == expected
 
 

@@ -342,6 +342,76 @@ def test_match_report_invariants(data):
             assert report.contained == (bool(embeddings) and not failing)
 
 
+# --- the strong relations as positive containment ---------------------------
+
+
+def ordered_set_partitions(items):
+    """Every sequence of disjoint non-empty blocks whose union is ``items``."""
+    if not items:
+        yield ()
+        return
+    first = frozenset(items[:1])
+    for tail in ordered_set_partitions(items[1:]):
+        for j in range(len(tail)):
+            yield tail[:j] + (tail[j] | first,) + tail[j + 1:]
+        for j in range(len(tail) + 1):
+            yield tail[:j] + (first,) + tail[j:]
+
+
+def test_ordered_set_partitions_count():
+    assert [len(list(ordered_set_partitions(range(n)))) for n in range(4)] == [1, 1, 3, 13]
+
+
+# The slot test each strong relation applies, named by the mode that pins it.
+_STRONG_TEST = {
+    (SOFT, TOTAL): NegMode.TOTAL,
+    (STRICT, TOTAL): NegMode.TOTAL,
+    (SOFT, PARTIAL): NegMode.SOFT_PARTIAL,
+    (STRICT, PARTIAL): NegMode.STRICT_PARTIAL,
+}
+
+
+def failing_chains(q, mode):
+    """The minimal chains of itemsets that fail a slot on negative ``q``: a
+    gap fails the slot iff it holds one of them as a subsequence."""
+    if mode is NegMode.TOTAL:
+        return [(Itemset.of([x]),) for x in q]
+    if mode is NegMode.SOFT_PARTIAL:
+        return [(q,)]
+    return [tuple(Itemset.of(block) for block in chain)
+            for chain in ordered_set_partitions(tuple(q))]
+
+
+def embeds(positives, s):
+    return bool(positive_embeddings(NegPattern(tuple(positives)), s))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_strong_is_positive_containment_without_a_failing_chain(data):
+    # e-NSP's reduction: a sequence strongly contains p iff it contains the
+    # positive part and, for no constrained slot, the positive part with a
+    # failing chain inserted into that slot.
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    p = with_random_modes(rng, random_pattern(
+        rng, alphabet=4, max_positives=4, max_itemset_size=2, max_neg_size=3,
+    ))
+    s = random_sequence(rng, alphabet=4, max_len=10, max_itemset_size=3)
+    bits = theta_bits(p, s)
+    positives = p.positives
+    for theta in THETAS:
+        if theta.occurrence is not Occurrence.STRONG:
+            continue
+        default = _STRONG_TEST[theta.embedding, theta.non_inclusion]
+        expected = embeds(positives, s) and not any(
+            embeds(positives[: i + 1] + chain + positives[i + 1:], s)
+            for i, negative in enumerate(p.negatives)
+            if negative.itemset
+            for chain in failing_chains(negative.itemset, negative.mode or default)
+        )
+        assert bool(bits >> theta.index & 1) == expected
+
+
 # --- contains on the worked examples ----------------------------------------
 
 
@@ -525,3 +595,10 @@ class TestVerticalEdgeCases:
         sequences = [parse_sequence(text, abc_dict) for text in ("a b", "b a")]
         patterns = [parse_pattern(text, abc_dict) for text in ("<a !b f>", "<(a f)>", "<a b>")]
         assert vertical_rows(patterns, sequences) == [[0] * 8, [0] * 8, [0b01] * 8]
+
+    def test_failing_gap_from_an_earlier_place(self, abc_dict):
+        # The earliest a fails the slot before b, a later a passes it: weak
+        # but not strong under every combo.
+        sequences = [parse_sequence("a c a b", abc_dict)]
+        p = parse_pattern("<a !c b>", abc_dict)
+        assert vertical_rows([p], sequences) == [[0, 1] * 4]
