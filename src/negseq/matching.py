@@ -9,7 +9,9 @@ in one sequence; :func:`contains` (with witness, violator and count),
 :func:`all_theta_supports` and the miner use it. The vertical engine,
 :func:`theta_masks`, decides a list of patterns against a list of sequences
 laid out as one bit string; ``orders.ContainmentGrid`` builds the
-verification grid with it, and the tests check it against the core.
+verification grid with it, and the tests check it against the core. Its
+strong containment is the sequences that contain the positive part minus
+those where some placement fails a slot, each found by one forward pass.
 
 Every relation quantifies over all placements of the positives, of which
 there can be exponentially many. No decision enumerates them: one containment
@@ -583,10 +585,12 @@ def all_theta_supports(p: NegPattern, db: SequenceDatabase) -> tuple[int, ...]:
 # Each slot test becomes a set of blocker cells, and a reach pass carries the
 # positives' possible places across a slot with one add-with-carry run fill
 # per blocker set (Allison & Dix, IPL 1986). A pass that reaches the
-# separator at the end of a sequence has found the pattern in it.
-
-# _BIT_REVERSED[b] is byte b with its 8 bits in reverse order.
-_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# separator at the end of a sequence has found the pattern in it. Each slot
+# of a pass takes any gap, a passing gap or a failing gap. Weak containment
+# is the pass in which every constrained slot passes. Strong containment is
+# ``embedded``, the pass with any gaps, minus the failing passes, in which
+# one constrained slot fails: e-NSP's reduction of negative support to
+# positive containment (Cao, Dong & Zheng, Artificial Intelligence 235, 2016).
 
 
 def _flood(seeds: int, free: int) -> int:
@@ -597,11 +601,10 @@ def _flood(seeds: int, free: int) -> int:
 
 class _Layout:
     """The cells of a list of sequences, with the cells of each item the
-    patterns use, in a forward and a reversed copy."""
+    patterns use."""
 
     def __init__(self, sequences: list[Sequence], items: int):
         self.size = size = sum(len(s) for s in sequences) + len(sequences) + 1
-        self._bytes = (size + 7) // 8
         rows = {x: bytearray(b"0" * size) for x in Itemset(items)}
         ends = []  # the cell of each sequence's end separator
         cell = 0
@@ -614,25 +617,22 @@ class _Layout:
             ends.append(cell)
         self.sep = sum(1 << cell for cell in ends) | 1
         self.free = ((1 << size) - 1) ^ self.sep
-        self.rfree = self.reverse(self.free)
         self.cells = {x: int(row, 2) for x, row in rows.items()}
-        self.rcells = {x: self.reverse(v) for x, v in self.cells.items()}
         # format(marks, ...)[size - 1 - c] is the bit of cell c; the getter
         # reads the end separators last sequence first.
         self._ends = itemgetter(*(size - 1 - cell for cell in reversed(ends)))
         self._seq_masks: dict[int, int] = {}
-        self._blockers: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        self._positives: dict[int, int] = {}
+        self._blockers: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def reverse(self, cells: int) -> int:
-        """The same cells, numbered from the other end."""
-        raw = cells.to_bytes(self._bytes, "little").translate(_BIT_REVERSED)
-        return int.from_bytes(raw, "big") >> (8 * self._bytes - self.size)
-
-    def positive(self, pmask: int, cells: dict[int, int]) -> int:
+    def positive(self, pmask: int) -> int:
         """The cells that hold every item of ``pmask``."""
-        found = -1
-        for x in Itemset(pmask):
-            found &= cells[x]
+        found = self._positives.get(pmask)
+        if found is None:
+            found = -1
+            for x in Itemset(pmask):
+                found &= self.cells[x]
+            self._positives[pmask] = found
         return found
 
     def sequence_mask(self, marks: int) -> int:
@@ -643,10 +643,10 @@ class _Layout:
             mask = self._seq_masks[marks] = int("".join(self._ends(text)), 2)
         return mask
 
-    def blockers(self, qmask: int, test: int) -> tuple[tuple[int, int], ...]:
-        """A slot test on negative ``qmask`` as blocker sets, each with the
-        free cells it leaves. A gap fails once it meets every blocker set:
-        strict-partial (1) has one per item, soft-partial (2) the cells
+    def blockers(self, qmask: int, test: int) -> tuple[int, ...]:
+        """A slot test on negative ``qmask`` as blocker sets, each given by
+        the free cells it leaves. A gap fails once it meets every blocker
+        set: strict-partial (1) has one per item, soft-partial (2) the cells
         holding all of them, total (4) the cells holding any."""
         key = (qmask, test)
         found = self._blockers.get(key)
@@ -656,64 +656,44 @@ class _Layout:
                 cells = [reduce(and_, cells)]
             elif test == 4:
                 cells = [reduce(or_, cells)]
-            found = tuple((b, self.free & ~b) for b in cells)
+            found = tuple(self.free & ~b for b in cells)
             self._blockers[key] = found
         return found
 
-    def placements(
-        self, pos_masks: tuple[int, ...]
-    ) -> tuple[list[int], list[int], int] | None:
-        """Per positive, its earliest and its latest place in each sequence,
-        and the end separators of the sequences the positives embed in; None
-        when they embed in none. The latest places come from the earliest
-        places of the reversed positives on the reversed copy."""
-        free = self.free
-        first = []
-        after = -1
-        for pmask in pos_masks:
-            reach = after & self.positive(pmask, self.cells)
-            after = _flood(reach << 1, free)
-            first.append(reach & ~after)
-        embedded = after & self.sep
-        if not embedded:
-            return None
-        last = []
-        after = -1
-        for pmask in reversed(pos_masks):
-            reach = after & self.positive(pmask, self.rcells)
-            after = _flood(reach << 1, self.rfree)
-            last.append(self.reverse(reach & ~after))
-        last.reverse()
-        return first, last, embedded
+    def reach(
+        self,
+        pos_masks: tuple[int, ...],
+        gaps: list[tuple[int, int, bool] | None],
+    ) -> int:
+        """End separators of the sequences where the positives embed with
+        each slot's gap as ``gaps`` asks: any gap for None, else a gap that
+        passes (``passes`` true) or fails ``test`` on negative ``qmask`` for
+        ``(qmask, test, passes)``.
 
-    def weak(self, p: NegPattern, test: int) -> int:
-        """End separators of the sequences where some placement passes every
-        slot of ``p`` under ``test``: the forward reach pass."""
+        The cells a pass reaches after a slot are the places of the next
+        positive that the gap allows. A passing gap misses some blocker set,
+        so it lies in the flood of that set. A failing gap lies in none; it
+        is taken from the earliest place of the positive before it, whose
+        gaps contain those of every later place, since every slot test is
+        monotone in the gap.
+        """
         free = self.free
-        pos_masks = p.positive_masks
-        reach = self.positive(pos_masks[0], self.cells)
-        for pmask, slot in zip(pos_masks[1:], _slot_tests(p, test)):
+        reach = self.positive(pos_masks[0])
+        for pmask, gap in zip(pos_masks[1:], gaps):
             seeds = reach << 1
-            if slot is None:
-                after = _flood(seeds, free)
-            else:
-                after = 0
-                for _, unblocked in self.blockers(*slot):
-                    after |= _flood(seeds, unblocked)
-            reach = after & self.positive(pmask, self.cells)
+            after = _flood(seeds, free)
+            if gap is not None:
+                qmask, test, passes = gap
+                if not passes:
+                    seeds = (reach & ~after) << 1
+                span = 0
+                for unblocked in self.blockers(qmask, test):
+                    span |= _flood(seeds, unblocked)
+                after = span if passes else after & ~span
+            reach = after & self.positive(pmask)
             if not reach:
                 return 0
         return _flood(reach << 1, free) & self.sep
-
-    def fails(self, gap: int, qmask: int, test: int) -> int:
-        """End separators of the sequences whose ``gap`` cells fail the slot
-        test: they meet every blocker set."""
-        failing = self.sep
-        for blocked, _ in self.blockers(qmask, test):
-            failing &= _flood(gap & blocked, self.free)
-            if not failing:
-                break
-        return failing
 
 
 def theta_masks(patterns: list[NegPattern], sequences: list[Sequence]) -> list[list[int]]:
@@ -722,10 +702,9 @@ def theta_masks(patterns: list[NegPattern], sequences: list[Sequence]) -> list[l
 
     The vertical engine: it decides each pattern against all the sequences
     at once, in a few big-int operations per slot and test, and agrees
-    with :func:`theta_bits` pair by pair. Strong containment uses the widest
-    gap of each slot, as :func:`_decide` does; weak containment is one reach
-    pass per slot test. Patterns with the same positives share their
-    placements.
+    with :func:`theta_bits` pair by pair. Per slot test it runs one weak
+    pass and one failing pass per constrained slot. Patterns with the same
+    positives share ``embedded``.
     """
     items = 0
     for p in patterns:
@@ -734,43 +713,38 @@ def theta_masks(patterns: list[NegPattern], sequences: list[Sequence]) -> list[l
         for _, qmask, _ in p.constrained_slots:
             items |= qmask
     layout = _Layout(sequences, items)
-    placed: dict[tuple[int, ...], tuple[list[int], list[int], int] | None] = {}
+    embedded_by: dict[tuple[int, ...], int] = {}
     rows = []
     for p in patterns:
         pos_masks = p.positive_masks
-        if pos_masks not in placed:
-            placed[pos_masks] = layout.placements(pos_masks)
-        placements = placed[pos_masks]
-        if placements is None:
-            rows.append([0] * len(THETAS))
-            continue
-        first, last, embedded = placements
-        if not p.constrained_slots:
+        any_gaps: list[tuple[int, int, bool] | None] = [None] * (len(pos_masks) - 1)
+        if pos_masks not in embedded_by:
+            embedded_by[pos_masks] = layout.reach(pos_masks, any_gaps)
+        embedded = embedded_by[pos_masks]
+        if not embedded or not p.constrained_slots:
             rows.append([layout.sequence_mask(embedded)] * len(THETAS))
             continue
-        # The sequences where some placement fails a slot under each test.
+        # The sequences where some placement fails a slot under each test. A
+        # pinned slot fails or passes alike under all three.
         failing = dict.fromkeys(_TESTS, 0)
         for i, qmask, mode in p.constrained_slots:
-            # The widest gap of the slot: the cells after the earliest place
-            # of positive i and before the latest place of positive i + 1.
-            # Where the positives do not embed it may run on to the end
-            # separator, which ``embedded`` masks out below.
-            end = last[i + 1]
-            gap = _flood(first[i] << 1, layout.free & ~end) & ~end
-            if mode is None:
-                for test in _TESTS:
-                    failing[test] |= layout.fails(gap, qmask, test)
-            else:
-                pinned = layout.fails(gap, qmask, _MODE_TEST[mode])
-                for test in _TESTS:
-                    failing[test] |= pinned
-        strong = {test: embedded & ~failing[test] for test in _TESTS}
-        weak = {test: layout.weak(p, test) for test in _TESTS}
+            gaps = any_gaps.copy()
+            for test in (_MODE_TEST[mode],) if mode else _TESTS:
+                gaps[i] = (qmask, test, False)
+                fails = layout.reach(pos_masks, gaps)
+                for t in _TESTS if mode else (test,):
+                    failing[t] |= fails
+        weak = {
+            test: layout.reach(
+                pos_masks, [slot and (*slot, True) for slot in _slot_tests(p, test)]
+            )
+            for test in _TESTS
+        }
         rows.append(
             [
                 layout.sequence_mask(marks)
                 for test in _COMBO_TEST
-                for marks in (strong[test], weak[test])
+                for marks in (embedded & ~failing[test], weak[test])
             ]
         )
     return rows

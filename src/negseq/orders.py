@@ -130,18 +130,8 @@ def neg_ext(
     p: NegPattern, p2: NegPattern, nonincl: NonInclusion = NonInclusion.TOTAL
 ) -> bool:
     """Identical positives; some negative strictly grows (shrinks under the
-    partial variant)."""
-    if len(p.positives) != len(p2.positives) or p.positives != p2.positives:
-        return False
-    k = len(p.positives)
-    if not all(
-        _neg_fits(p.negatives[i].itemset, p2.negatives[i].itemset, nonincl)
-        for i in range(k - 1)
-    ):
-        return False
-    return any(
-        p.negatives[i].itemset != p2.negatives[i].itemset for i in range(k - 1)
-    )
+    partial variant). That is prefix inclusion with equal positives."""
+    return p.positives == p2.positives and prefix_incl(p, p2, nonincl)
 
 
 _ORDER_FUNCS = {

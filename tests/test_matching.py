@@ -359,7 +359,8 @@ def ordered_set_partitions(items):
 
 
 def test_ordered_set_partitions_count():
-    assert [len(list(ordered_set_partitions(range(n)))) for n in range(4)] == [1, 1, 3, 13]
+    counts = [len(list(ordered_set_partitions(range(n)))) for n in range(4)]
+    assert counts == [1, 1, 3, 13]
 
 
 # The slot test each strong relation applies, named by the mode that pins it.
