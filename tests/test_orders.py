@@ -451,6 +451,42 @@ class TestAntiMonotonicityScan:
         assert verdicts[TOTAL] != verdicts[PARTIAL]
 
 
+def all_pairs_comparable(patterns, order, nonincl):
+    """All-pairs oracle for ContainmentGrid.comparable_pairs."""
+    fn = {
+        OrderKind.EMBED_INCL: embed_incl,
+        OrderKind.PREFIX_INCL: prefix_incl,
+        OrderKind.NEG_EXT: neg_ext,
+    }[order]
+    return tuple(
+        (i, i2)
+        for i, p in enumerate(patterns)
+        for i2, p2 in enumerate(patterns)
+        if fn(p, p2, nonincl)
+    )
+
+
+class TestComparablePairs:
+    @pytest.mark.parametrize("nonincl", [TOTAL, PARTIAL])
+    @pytest.mark.parametrize("order", list(OrderKind))
+    def test_default_space_equals_all_pairs_filter(self, order, nonincl):
+        space = default_space()
+        grid = ContainmentGrid(space.patterns, space.sequences[:1])
+        expected = all_pairs_comparable(space.patterns, order, nonincl)
+        assert grid.comparable_pairs(order, nonincl) == expected
+
+    def test_random_spaces_equal_all_pairs_filter(self, d):
+        rng = random.Random(37)
+        sequences = [parse_sequence("a b c", d)]
+        for _ in range(40):
+            patterns = [random_pattern(rng, alphabet=3) for _ in range(rng.randint(1, 30))]
+            grid = ContainmentGrid(patterns, sequences)
+            for order in OrderKind:
+                for nonincl in (TOTAL, PARTIAL):
+                    expected = all_pairs_comparable(patterns, order, nonincl)
+                    assert grid.comparable_pairs(order, nonincl) == expected
+
+
 class TestSupportDominance:
     def test_dominated_relation_never_has_larger_support(self):
         rng = random.Random(5)
