@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain
+from math import ceil, log
+from operator import eq
 from typing import Iterable, Iterator, Sequence as SequenceABC
 
 from .model import (
@@ -84,23 +86,39 @@ def embed_incl(
     if k == k2 and p.positives == p2.positives and _neg_itemsets(p) == _neg_itemsets(p2):
         return False
 
-    def descend(i: int, prev: int) -> bool:
-        if i == k:
+    def fits(i: int, u: int, prev: int) -> bool:
+        # Positive i of p on positive u of p2, after positive i - 1 on prev.
+        if not p.positives[i].issubset(p2.positives[u]):
+            return False
+        if i == 0:
             return True
-        for u in range(prev + 1, k2 - (k - 1 - i)):
-            if not p.positives[i].issubset(p2.positives[u]):
-                continue
-            if i > 0:
-                union = Itemset(0)
-                for j in range(prev, u):
-                    union = union.union(p2.negatives[j].itemset)
-                if not _neg_fits(p.negatives[i - 1].itemset, union, nonincl):
-                    continue
-            if descend(i + 1, u):
-                return True
-        return False
+        union = Itemset(0)
+        for j in range(prev, u):
+            union = union.union(p2.negatives[j].itemset)
+        return _neg_fits(p.negatives[i - 1].itemset, union, nonincl)
 
-    return descend(0, -1)
+    # Depth-first search, leftmost first, on an explicit stack: places[i] is
+    # the positive of p2 that holds positive i of p, and u the next one to
+    # try for positive len(places). Whether the rest of p can still be placed
+    # depends only on how many positives are placed and where the last sits,
+    # so a (placed, last) state that failed once is not entered again.
+    places: list[int] = []
+    dead: set[tuple[int, int]] = set()
+    u = 0
+    while len(places) < k:
+        i = len(places)
+        prev = places[-1] if places else -1
+        if u > k2 - k + i:
+            if not places:
+                return False
+            dead.add((i, prev))
+            u = places.pop() + 1
+        elif (i + 1, u) not in dead and fits(i, u, prev):
+            places.append(u)
+            u += 1
+        else:
+            u += 1
+    return True
 
 
 def prefix_incl(
@@ -138,6 +156,24 @@ _ORDER_FUNCS = {
     OrderKind.EMBED_INCL: embed_incl,
     OrderKind.PREFIX_INCL: prefix_incl,
     OrderKind.NEG_EXT: neg_ext,
+}
+
+
+def _positives_embed(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    # Each positive mask of a is a subset of a later one of b; leftmost first.
+    rest = iter(b)
+    return all(any(x & ~y == 0 for y in rest) for x in a)
+
+
+def _positives_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return len(a) <= len(b) and all(x & ~y == 0 for x, y in zip(a, b))
+
+
+# For each order, a relation on positive masks that the order implies.
+_POSITIVES_RELATED = {
+    OrderKind.EMBED_INCL: _positives_embed,
+    OrderKind.PREFIX_INCL: _positives_prefix,
+    OrderKind.NEG_EXT: eq,
 }
 
 
@@ -304,13 +340,27 @@ class ContainmentGrid:
     ) -> tuple[tuple[int, int], ...]:
         key = (order, order_nonincl)
         if key not in self._comparable:
-            fn = _ORDER_FUNCS[order]
+            fn, related = _ORDER_FUNCS[order], _POSITIVES_RELATED[order]
             pats = self.patterns
+            # Every order first needs the positive parts to relate. So the
+            # patterns are indexed by positive part, the parts are related
+            # once, and each pattern is tried only against the patterns whose
+            # parts its own relates to, in index order: the same pairs in the
+            # same order as trying every pair.
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for i, p in enumerate(pats):
+                groups.setdefault(p.positive_masks, []).append(i)
+            candidates = {
+                a: sorted(chain.from_iterable(
+                    members for b, members in groups.items() if related(a, b)
+                ))
+                for a in groups
+            }
             self._comparable[key] = tuple(
                 (i, i2)
                 for i, p in enumerate(pats)
-                for i2, p2 in enumerate(pats)
-                if fn(p, p2, order_nonincl)
+                for i2 in candidates[p.positive_masks]
+                if fn(p, pats[i2], order_nonincl)
             )
         return self._comparable[key]
 
@@ -604,6 +654,41 @@ class InvariantCheck:
         return self.failures == 0
 
 
+def _below(rng: random.Random, n: int) -> int:
+    # A uniform int in [0, n), drawn as CPython's _randbelow_with_getrandbits
+    # draws it; rng.randint(a, b) is a + _below(rng, b - a + 1).
+    if n <= 0:
+        raise ValueError(f"empty range below {n}")
+    bits = n.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= n:
+        r = rng.getrandbits(bits)
+    return r
+
+
+def _sample_mask(rng: random.Random, n: int, k: int) -> int:
+    # The bitmask of rng.sample(range(n), k), drawn as CPython draws it: by
+    # swaps in a pool of n when that list is smaller than a set of k, else by
+    # redrawing any index already taken.
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    setsize = 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
+    mask = 0
+    if n <= setsize:
+        pool = list(range(n))
+        for i in range(k):
+            j = _below(rng, n - i)
+            mask |= 1 << pool[j]
+            pool[j] = pool[n - i - 1]
+    else:
+        for _ in range(k):
+            j = _below(rng, n)
+            while mask >> j & 1:
+                j = _below(rng, n)
+            mask |= 1 << j
+    return mask
+
+
 def random_pattern(
     rng: random.Random,
     alphabet: int = 5,
@@ -612,16 +697,18 @@ def random_pattern(
     max_neg_size: int = 2,
     singleton_negatives: bool = False,
 ) -> NegPattern:
-    k = rng.randint(1, max_positives)
+    """A random pattern, with the draws of ``rng.randint`` and
+    ``rng.sample(range(alphabet), size)`` for the number of positives and
+    each itemset. They are replayed on ``rng.getrandbits``, which is faster;
+    a test compares the replay with the standard library over many seeds."""
+    k = 1 + _below(rng, max_positives)
     positives = tuple(
-        Itemset.of(
-            rng.sample(range(alphabet), rng.randint(1, max_itemset_size))
-        )
+        Itemset(_sample_mask(rng, alphabet, 1 + _below(rng, max_itemset_size)))
         for _ in range(k)
     )
     cap = 1 if singleton_negatives else max_neg_size
     negatives = tuple(
-        Negative(Itemset.of(rng.sample(range(alphabet), rng.randint(0, cap))))
+        Negative(Itemset(_sample_mask(rng, alphabet, _below(rng, cap + 1))))
         for _ in range(k - 1)
     )
     return NegPattern(positives, negatives)
@@ -633,10 +720,12 @@ def random_sequence(
     max_len: int = 6,
     max_itemset_size: int = 3,
 ) -> Sequence:
+    """A random sequence, drawn as :func:`random_pattern` draws: the
+    standard library's draws, replayed on ``rng.getrandbits``."""
     return Sequence(
         tuple(
-            Itemset.of(rng.sample(range(alphabet), rng.randint(1, max_itemset_size)))
-            for _ in range(rng.randint(0, max_len))
+            Itemset(_sample_mask(rng, alphabet, 1 + _below(rng, max_itemset_size)))
+            for _ in range(_below(rng, max_len + 1))
         )
     )
 
@@ -708,8 +797,8 @@ def verify_invariants(draws: int = 10000, seed: int = 94001) -> tuple[InvariantC
         s = random_sequence(rng)
         recent.append(s)
 
-        pp = Itemset.of(rng.sample(range(5), rng.randint(0, 3)))
-        ii = Itemset.of(rng.sample(range(5), rng.randint(0, 3)))
+        pp = Itemset(_sample_mask(rng, 5, _below(rng, 4)))
+        ii = Itemset(_sample_mask(rng, 5, _below(rng, 4)))
         if non_inclusion(pp, ii, NonInclusion.TOTAL) and not non_inclusion(
             pp, ii, NonInclusion.PARTIAL
         ):
@@ -728,8 +817,9 @@ def verify_invariants(draws: int = 10000, seed: int = 94001) -> tuple[InvariantC
                     record(names[3], f"e={e}")
 
         if len(s) >= len(p.positives) >= 1:
+            # The sorted draw of rng.sample(range(1, len(s) + 1), k).
             guess = tuple(
-                sorted(rng.sample(range(1, len(s) + 1), len(p.positives)))
+                j + 1 for j in Itemset(_sample_mask(rng, len(s), len(p.positives)))
             )
             try:
                 check_embedding(

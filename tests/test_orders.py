@@ -7,9 +7,13 @@ from negseq import (
     Dictionary,
     Dominance,
     EmptySpaceError,
+    Itemset,
+    NegPattern,
+    Negative,
     NonInclusion,
     Occurrence,
     OrderKind,
+    Sequence,
     SequenceDatabase,
     THETAS,
     Theta,
@@ -26,6 +30,7 @@ from negseq import (
 from negseq.mining import PatternBounds, enumerate_patterns
 from negseq.orders import (
     ContainmentGrid,
+    _sample_mask,
     default_space,
     random_pattern,
     random_sequence,
@@ -127,6 +132,18 @@ class TestEmbedIncl:
         bigger = parse_pattern("<b !(c e) a>", d)
         assert embed_incl(bigger, p2, PARTIAL)
         assert not embed_incl(bigger, p2, TOTAL)
+
+    def test_deep_patterns_need_no_recursion(self):
+        a = Itemset.of([0])
+        p, p2 = NegPattern((a,) * 1500), NegPattern((a,) * 1501)
+        assert prefix_incl(p, p2)
+        assert embed_incl(p, p2)
+
+    def test_failed_placements_are_not_searched_again(self):
+        # Leftmost-first search meets C(60, 30) placements of the a's before it
+        # can tell that b fits nowhere.
+        a, b = Itemset.of([0]), Itemset.of([1])
+        assert not embed_incl(NegPattern((a,) * 30 + (b,)), NegPattern((a,) * 60))
 
 
 class TestPrefixIncl:
@@ -485,6 +502,77 @@ class TestComparablePairs:
                 for nonincl in (TOTAL, PARTIAL):
                     expected = all_pairs_comparable(patterns, order, nonincl)
                     assert grid.comparable_pairs(order, nonincl) == expected
+
+
+def stdlib_random_pattern(
+    rng, alphabet=5, max_positives=3, max_itemset_size=2, max_neg_size=2,
+    singleton_negatives=False,
+):
+    """Oracle for random_pattern: its draws through rng.randint and rng.sample."""
+    k = rng.randint(1, max_positives)
+    positives = tuple(
+        Itemset.of(rng.sample(range(alphabet), rng.randint(1, max_itemset_size)))
+        for _ in range(k)
+    )
+    cap = 1 if singleton_negatives else max_neg_size
+    negatives = tuple(
+        Negative(Itemset.of(rng.sample(range(alphabet), rng.randint(0, cap))))
+        for _ in range(k - 1)
+    )
+    return NegPattern(positives, negatives)
+
+
+def stdlib_random_sequence(rng, alphabet=5, max_len=6, max_itemset_size=3):
+    """Oracle for random_sequence: its draws through rng.randint and rng.sample."""
+    return Sequence(
+        tuple(
+            Itemset.of(rng.sample(range(alphabet), rng.randint(1, max_itemset_size)))
+            for _ in range(rng.randint(0, max_len))
+        )
+    )
+
+
+class TestDrawReplay:
+    """The lemma draws replay the standard library's ``randint`` and ``sample``
+    on ``getrandbits``. These tests catch a Python release that changes how
+    either draws."""
+
+    @staticmethod
+    def assert_same_draw(fast, slow, draw, oracle, *args):
+        try:
+            expected = oracle(slow, *args)
+        except ValueError:
+            with pytest.raises(ValueError):
+                draw(fast, *args)
+        else:
+            assert draw(fast, *args) == expected
+        assert fast.getrandbits(64) == slow.getrandbits(64)
+
+    def test_patterns_and_sequences_equal_the_stdlib_draws(self):
+        # Alphabets above 21 reach sample's rejection path, sizes above the
+        # alphabet its ValueError; every other bound takes each value up to 6.
+        for seed in range(360):
+            alphabet, size = 1 + seed % 30, 1 + seed // 30 % 6
+            singleton = seed >= 180
+            fast, slow = random.Random(seed), random.Random(seed)
+            for _ in range(4):
+                self.assert_same_draw(
+                    fast, slow, random_pattern, stdlib_random_pattern,
+                    alphabet, 1 + seed % 6, size, seed % 7, singleton,
+                )
+                self.assert_same_draw(
+                    fast, slow, random_sequence, stdlib_random_sequence,
+                    alphabet, seed % 7, size,
+                )
+
+    def test_sample_mask_equals_the_stdlib_sample(self):
+        for n in range(31):
+            for k in range(min(n, 8) + 2):
+                fast, slow = random.Random(n * 100 + k), random.Random(n * 100 + k)
+                self.assert_same_draw(
+                    fast, slow, _sample_mask,
+                    lambda rng, n, k: Itemset.of(rng.sample(range(n), k)).mask, n, k,
+                )
 
 
 class TestSupportDominance:
