@@ -470,16 +470,11 @@ class TestAntiMonotonicityScan:
 
 def all_pairs_comparable(patterns, order, nonincl):
     """All-pairs oracle for ContainmentGrid.comparable_pairs."""
-    fn = {
-        OrderKind.EMBED_INCL: embed_incl,
-        OrderKind.PREFIX_INCL: prefix_incl,
-        OrderKind.NEG_EXT: neg_ext,
-    }[order]
     return tuple(
         (i, i2)
         for i, p in enumerate(patterns)
         for i2, p2 in enumerate(patterns)
-        if fn(p, p2, nonincl)
+        if pattern_order(order, p, p2, nonincl)
     )
 
 
@@ -496,7 +491,8 @@ class TestComparablePairs:
         rng = random.Random(37)
         sequences = [parse_sequence("a b c", d)]
         for _ in range(40):
-            patterns = [random_pattern(rng, alphabet=3) for _ in range(rng.randint(1, 30))]
+            count = rng.randint(1, 30)
+            patterns = [random_pattern(rng, alphabet=3) for _ in range(count)]
             grid = ContainmentGrid(patterns, sequences)
             for order in OrderKind:
                 for nonincl in (TOTAL, PARTIAL):
