@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -398,6 +399,31 @@ def test_verify_output_matches_golden(capsys, suite, extra, fmt):
     stem = f"{suite}_fill_4_4" if extra == FILL_4_4 else suite
     expected = (GOLDEN / f"verify_{stem}_{fmt}.txt").read_text()
     assert f"exit {code}\n" + out == expected
+
+
+DATA = Path(__file__).parent / "data"
+
+
+# mine_small: 20 sequences of 4-8 itemsets of 1-2 items over 8 items, where
+# two-item negatives make partial growth regain support. mine_400: 300
+# sequences of 5-15 itemsets of 1-2 items over 400 items, where nearly every
+# candidate is infrequent. Both were drawn once with Python's random module.
+@pytest.mark.parametrize("theta", THETAS, ids=lambda t: t.spell())
+@pytest.mark.parametrize(
+    "name, bounds, minsup", [("small", (3, 2, 2), 8), ("400", (2, 1, 1), 15)]
+)
+def test_mine_output_matches_golden(capsys, name, bounds, minsup, theta):
+    # Per relation, in THETAS order, the golden holds the exit code, stdout
+    # and the statistics line on stderr.
+    code, out, err = invoke(
+        capsys, "mine", "--db", str(DATA / f"mine_{name}.txt"),
+        "--theta", theta.spell(), "--minsup", str(minsup),
+        "--max-positives", str(bounds[0]), "--max-itemset-size", str(bounds[1]),
+        "--max-neg-size", str(bounds[2]),
+    )
+    stem = "_".join(map(str, (name, *bounds)))
+    blocks = re.split(r"^(?=exit )", (GOLDEN / f"mine_{stem}.txt").read_text(), flags=re.M)
+    assert f"exit {code}\n" + out + err == blocks[1 + theta.index]
 
 
 def _failing_reports():
