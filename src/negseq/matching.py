@@ -6,10 +6,11 @@ weak/strong occurrence to support counting. All functions are pure.
 Two engines decide containment. The per-sequence core decides one pattern
 in one sequence; :func:`contains` (with witness, violator and count),
 :func:`is_contained`, :func:`support`, :func:`theta_bits`,
-:func:`all_theta_supports` and the miner use it. The vertical engine,
-:func:`theta_masks`, decides a list of patterns against a list of sequences
-laid out as one bit string; ``orders.ContainmentGrid`` builds the
-verification grid with it, and the tests check it against the core. Its
+:func:`all_theta_supports` and the bruteforce miner use it. The vertical
+engine, ``_Layout``, decides patterns against a list of sequences laid out
+as one bit string: :func:`theta_masks` builds ``orders.ContainmentGrid``, the
+verification grid, with it, ``mining.mine_pruned`` counts every candidate on
+one layout of the database, and the tests check it against the core. Its
 strong containment is the sequences that contain the positive part minus
 those where some placement fails a slot, each found by one forward pass.
 
@@ -438,22 +439,10 @@ def _decide(p: NegPattern, seq_masks: tuple[int, ...], wanted: int) -> int:
     first = _earliest(pos_masks, seq_masks)
     if first is None:
         return 0
-    if not p.constrained_slots:
-        return wanted
-    return _decide_placed(p, seq_masks, wanted, first, _latest(pos_masks, seq_masks))
-
-
-def _decide_placed(
-    p: NegPattern,
-    seq_masks: tuple[int, ...],
-    wanted: int,
-    first: list[int],
-    last: list[int],
-) -> int:
-    """The slot part of :func:`_decide`, for a pattern with a constrained
-    slot whose positives embed, given their earliest and latest placements.
-    The miner calls it with placements cached from the positive part."""
     slots = p.constrained_slots
+    if not slots:
+        return wanted
+    last = _latest(pos_masks, seq_masks)
     strong = _COMBO_SET[wanted & _STRONG_BITS]
     for i, qmask, mode in slots:
         if not strong:
@@ -464,7 +453,7 @@ def _decide_placed(
     for test, combos in _WEAK_PASSES:
         if weak & combos & ~found:
             tests = _slot_tests(p, test)
-            if _passing_table(p.positive_masks, tests, seq_masks, first, last) is None:
+            if _passing_table(pos_masks, tests, seq_masks, first, last) is None:
                 break  # no embedding passes the stronger tests either
             found |= weak & combos
     return _SPREAD[strong] | _SPREAD[found] << 1
@@ -605,19 +594,20 @@ class _Layout:
 
     def __init__(self, sequences: list[Sequence], items: int):
         self.size = size = sum(len(s) for s in sequences) + len(sequences) + 1
-        rows = {x: bytearray(b"0" * size) for x in Itemset(items)}
+        # Bit c of a row, little-endian, is cell c.
+        rows = {x: bytearray((size + 7) // 8) for x in Itemset(items)}
         ends = []  # the cell of each sequence's end separator
         cell = 0
         for s in sequences:
             for mask in s.masks:
                 cell += 1
                 for x in Itemset(mask & items):
-                    rows[x][size - 1 - cell] = 0x31  # ord("1")
+                    rows[x][cell >> 3] |= 1 << (cell & 7)
             cell += 1
             ends.append(cell)
         self.sep = sum(1 << cell for cell in ends) | 1
         self.free = ((1 << size) - 1) ^ self.sep
-        self.cells = {x: int(row, 2) for x, row in rows.items()}
+        self.cells = {x: int.from_bytes(row, "little") for x, row in rows.items()}
         # format(marks, ...)[size - 1 - c] is the bit of cell c; the getter
         # reads the end separators last sequence first.
         self._ends = itemgetter(*(size - 1 - cell for cell in reversed(ends)))

@@ -2,12 +2,27 @@
 
 The pruned miner returns exactly the bruteforce result, under all eight
 relations. It walks prefix extensions depth first (append a positive itemset,
-grow the last positive itemset, put an item into a negative itemset), and
-each node hands its children the ids of the sequences that contain it under
-the relation, so that a child is decided only where its parent leaves the
-answer open (the projection of PrefixSpan, as NegPSpan applies it to negative
-patterns). Every relation needs the positive part to embed, and every slot
-test is monotone in the negative itemset, which gives three rules:
+grow the last positive itemset, put an item into a negative itemset) and
+counts every candidate on one vertical layout of the database, SPAM's bitmaps
+(Ayres, Flannick, Gehrke & Yiu, KDD 2002): a big int over the cells of all
+the sequences, with one row of cells per item (see ``matching._Layout``).
+
+- A positive node carries its reach R, the cells where its last positive can
+  sit. Growing the last itemset by x gives ``R & cells[x]``; appending x gives
+  ``after & cells[x]``, where ``after`` floods R one cell on to the end of
+  each sequence. The node's ``embedded``, the end separators in ``after``, is
+  its set of containing sequences, and its support is their number.
+- A negative node takes one reach pass on the layout. Weak: every constrained
+  slot takes a gap that passes the relation's slot test. Strong: ``embedded``
+  minus the sequences where some placement fails a slot, one failing pass
+  per slot, which is e-NSP's reduction of negative support to positive
+  containment (Cao, Dong & Zheng, Artificial Intelligence 235, 2016). The
+  negatives grow slot by slot, so a node inherits the failing passes of the
+  slots before its last one.
+
+The walk works on the itemsets' masks, and builds a pattern object only for
+a frequent node. Every relation needs the positive part to embed, and every
+slot test is monotone in the negative itemset, which gives three rules:
 
 - positive extension: the child's sequences are among the parent's; below
   ``minsup`` the whole subtree is cut, under every relation;
@@ -15,30 +30,27 @@ test is monotone in the negative itemset, which gives three rules:
   non-inclusion: the child's sequences are among the parent's; under total
   non-inclusion the negative subtree is cut below ``minsup``;
 - growing a non-empty negative under partial non-inclusion: the child's
-  sequences include the parent's, so only the positive part's other
-  sequences are decided, and nothing is cut.
-
-A positive node also hands down the earliest placement of its positives in
-each of its sequences, so that a positive child places only its last
-positive, and a negative child decides only its slots on placements that
-the positive part computed once.
+  sequences include the parent's, so nothing is cut.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
 from .model import (
+    NO_NEGATIVE,
     Dictionary,
     Itemset,
     NegPattern,
     Negative,
     NonInclusion,
+    Occurrence,
     SequenceDatabase,
     Theta,
 )
-from .matching import _decide_placed, _earliest, _latest, support
+from .matching import _COMBO_TEST, _Layout, _flood, support
 
 # Not called here: ``bench/run.py --trace 1`` patches it on this module by name.
 from .matching import weak_strong_support
@@ -73,92 +85,105 @@ class PatternBounds:
         return cls(max_positives, max_itemset_size, max_neg_size, tuple(range(len(dictionary))))
 
 
-def _grow_last_positive(pattern: NegPattern, item: int) -> NegPattern:
-    positives = pattern.positives[:-1] + (
-        Itemset(pattern.positives[-1].mask | (1 << item)),
-    )
-    return NegPattern(positives, pattern.negatives)
+# The walk's nodes are masks: ``pos`` holds the positive itemsets' masks and
+# ``neg`` the negative slots' masks, 0 for an empty slot. A pattern's
+# canonical construction adds items left to right: the positive itemsets
+# first (each in increasing item order), then negative items in (slot, item)
+# order. Children of a node continue that construction, so a depth-first walk
+# is duplicate-free without a seen-set.
 
 
-def _append_positive(pattern: NegPattern, item: int) -> NegPattern:
-    return NegPattern(
-        pattern.positives + (Itemset(1 << item),),
-        pattern.negatives + (Negative(),),
-    )
+def _positive_children(
+    pos: tuple[int, ...], bounds: PatternBounds
+) -> Iterator[tuple[tuple[int, ...], int, bool]]:
+    """(child positives, item, appended) in canonical order: grow the last
+    itemset by an item after its largest, then append a one-item itemset."""
+    last = pos[-1]
+    if last.bit_count() < bounds.max_itemset_size:
+        alphabet = bounds.alphabet
+        for item in alphabet[bisect_right(alphabet, last.bit_length() - 1) :]:
+            yield pos[:-1] + (last | 1 << item,), item, False
+    if len(pos) < bounds.max_positives:
+        for item in bounds.alphabet:
+            yield pos + (1 << item,), item, True
 
 
-def _grow_negative(pattern: NegPattern, slot: int, item: int) -> NegPattern:
-    negatives = list(pattern.negatives)
-    negatives[slot] = Negative(Itemset(negatives[slot].itemset.mask | (1 << item)))
-    return NegPattern(pattern.positives, tuple(negatives))
-
-
-def _negative_extensions(
-    pattern: NegPattern, bounds: PatternBounds, last_slot: int, last_item: int
-) -> Iterator[tuple[NegPattern, int, int]]:
-    """Negative growths continuing the canonical (slot, item) order."""
-    slots = len(pattern.positives) - 1
-    start = last_slot if last_slot >= 0 else 0
-    for slot in range(start, slots):
+def _negative_children(
+    neg: tuple[int, ...], bounds: PatternBounds, last_slot: int, last_item: int
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(child negatives, slot, item), continuing the canonical (slot, item)
+    order from the last item put into a negative, (-1, -1) for none."""
+    for slot in range(max(last_slot, 0), len(neg)):
+        q = neg[slot]
         if slot == last_slot:
-            if len(pattern.negatives[slot].itemset) >= bounds.max_neg_size:
+            if q.bit_count() >= bounds.max_neg_size:
                 continue
             floor = last_item
         else:
             floor = -1
-        for item in bounds.alphabet:
-            if item > floor:
-                yield _grow_negative(pattern, slot, item), slot, item
+        for item in bounds.alphabet[bisect_right(bounds.alphabet, floor) :]:
+            yield neg[:slot] + (q | 1 << item,) + neg[slot + 1 :], slot, item
 
 
-def _positive_extensions(
-    pattern: NegPattern, bounds: PatternBounds
-) -> Iterator[NegPattern]:
-    last = pattern.positives[-1]
-    if len(last) < bounds.max_itemset_size:
-        top = max(last)
-        for item in bounds.alphabet:
-            if item > top:
-                yield _grow_last_positive(pattern, item)
-    if len(pattern.positives) < bounds.max_positives:
-        for item in bounds.alphabet:
-            yield _append_positive(pattern, item)
+def _has_positive_extension(pos: tuple[int, ...], bounds: PatternBounds) -> bool:
+    if len(pos) < bounds.max_positives:
+        return True
+    last = pos[-1]
+    return (
+        last.bit_count() < bounds.max_itemset_size
+        and bounds.alphabet[-1] > last.bit_length() - 1
+    )
+
+
+def _has_negative_extension(
+    neg: tuple[int, ...], bounds: PatternBounds, last_slot: int, last_item: int
+) -> bool:
+    if last_slot + 1 < len(neg):  # an empty slot after the last one grown
+        return True
+    return (
+        last_slot >= 0
+        and neg[last_slot].bit_count() < bounds.max_neg_size
+        and bounds.alphabet[-1] > last_item
+    )
+
+
+def _pattern(positives: tuple[Itemset, ...], neg: tuple[int, ...]) -> NegPattern:
+    return NegPattern(
+        positives, tuple(Negative(Itemset(q)) if q else NO_NEGATIVE for q in neg)
+    )
 
 
 def enumerate_patterns(bounds: PatternBounds) -> Iterator[NegPattern]:
-    """Every valid pattern within ``bounds``, exactly once, in a fixed order.
+    """Every valid pattern within ``bounds``, exactly once, in a fixed order:
+    the canonical construction order that the pruned miner walks as well."""
 
-    A pattern's canonical construction adds items left to right: the positive
-    itemsets first (each in increasing item order), then negative items in
-    (slot, item) order. Children of a state continue that construction, so the
-    depth-first walk is duplicate-free without a seen-set.
-    """
-
-    def walk_positive(pattern: NegPattern) -> Iterator[NegPattern]:
-        yield pattern
-        for child in _positive_extensions(pattern, bounds):
+    def walk_positive(pos: tuple[int, ...]) -> Iterator[NegPattern]:
+        positives = tuple(map(Itemset, pos))
+        yield NegPattern(positives)
+        for child, _, _ in _positive_children(pos, bounds):
             yield from walk_positive(child)
-        yield from walk_negative(pattern, -1, -1)
+        yield from walk_negative(positives, (0,) * (len(pos) - 1), -1, -1)
 
     def walk_negative(
-        pattern: NegPattern, last_slot: int, last_item: int
+        positives: tuple[Itemset, ...],
+        neg: tuple[int, ...],
+        last_slot: int,
+        last_item: int,
     ) -> Iterator[NegPattern]:
-        for child, slot, item in _negative_extensions(
-            pattern, bounds, last_slot, last_item
-        ):
-            yield child
-            yield from walk_negative(child, slot, item)
+        for child, slot, item in _negative_children(neg, bounds, last_slot, last_item):
+            yield _pattern(positives, child)
+            yield from walk_negative(positives, child, slot, item)
 
     for item in bounds.alphabet:
-        yield from walk_positive(NegPattern((Itemset(1 << item),)))
+        yield from walk_positive((1 << item,))
 
 
 @dataclass(frozen=True, slots=True)
 class MiningStats:
     """candidates: patterns whose support was evaluated; support_calls:
-    support passes, one per candidate, over the whole database for the
-    bruteforce engine and over the sequences its parent leaves open for the
-    pruned one; pruned_subtrees: nodes whose extensions were cut."""
+    support counts, one per candidate, over the whole database for the
+    bruteforce engine and on the vertical layout for the pruned one;
+    pruned_subtrees: nodes whose extensions were cut."""
 
     candidates: int = 0
     support_calls: int = 0
@@ -191,25 +216,11 @@ def mine_bruteforce(
     )
 
 
-def _has_positive_extension(pattern: NegPattern, bounds: PatternBounds) -> bool:
-    if len(pattern.positives) < bounds.max_positives:
-        return True
-    last = pattern.positives[-1]
-    return len(last) < bounds.max_itemset_size and bounds.alphabet[-1] > max(last)
-
-
-def _has_negative_extension(
-    pattern: NegPattern, bounds: PatternBounds, last_slot: int, last_item: int
-) -> bool:
-    for _ in _negative_extensions(pattern, bounds, last_slot, last_item):
-        return True
-    return False
-
-
 def mine_pruned(
     db: SequenceDatabase, theta: Theta, minsup: int, bounds: PatternBounds
 ) -> MiningResult:
-    """Frequent patterns under any relation, by projected depth-first search.
+    """Frequent patterns under any relation, by depth-first search on the
+    vertical layout.
 
     Returns exactly what :func:`mine_bruteforce` returns on the same inputs,
     in the same order and with the same supports. A positive node below
@@ -220,87 +231,71 @@ def mine_pruned(
     """
     if minsup < 1:
         raise ValueError("minsup must be at least 1")
-    wanted = 1 << theta.index
+    layout = _Layout(db.sequences, Itemset.of(bounds.alphabet).mask)
+    cells, free, sep = layout.cells, layout.free, layout.sep
+    test = _COMBO_TEST[theta.combo_index]
+    strong = theta.occurrence is Occurrence.STRONG
     partial = theta.non_inclusion is NonInclusion.PARTIAL
-    seqs = [s.masks for s in db.sequences]
     frequent: list[tuple[NegPattern, int]] = []
     candidates = 0
     pruned = 0
 
     def visit_negative(
-        pattern: NegPattern,
+        pos: tuple[int, ...],
+        positives: tuple[Itemset, ...],
+        neg: tuple[int, ...],
         last_slot: int,
         last_item: int,
-        parent_ids: list[int],
-        grown: bool,
-        first: dict[int, list[int]],
-        last: dict[int, list[int]],
+        embedded: int,
+        before: int,
     ) -> None:
-        # first and last: the positive part's placements, keyed by the ids of
-        # the sequences it embeds in. grown: the edge from the parent grew a
-        # non-empty negative, rather than opening an empty slot.
+        # embedded: the positive part's sequences, as end separators. before:
+        # under strong occurrence, those where some placement fails a slot
+        # before last_slot; the slots after it are empty.
         nonlocal candidates, pruned
         candidates += 1
-        if grown and partial:
-            inside = set(parent_ids)
-            ids = [
-                i
-                for i in first
-                if i in inside or _decide_placed(pattern, seqs[i], wanted, first[i], last[i])
-            ]
+        if strong:
+            gaps: list[tuple[int, int, bool] | None] = [None] * len(neg)
+            gaps[last_slot] = (neg[last_slot], test, False)
+            failing = before | layout.reach(pos, gaps)
+            count = (embedded & ~failing).bit_count()
         else:
-            ids = [
-                i
-                for i in parent_ids
-                if _decide_placed(pattern, seqs[i], wanted, first[i], last[i])
-            ]
-        if len(ids) >= minsup:
-            frequent.append((pattern, len(ids)))
+            failing = 0
+            gaps = [(q, test, True) if q else None for q in neg]
+            count = layout.reach(pos, gaps).bit_count()
+        if count >= minsup:
+            frequent.append((_pattern(positives, neg), count))
         elif not partial:
-            if _has_negative_extension(pattern, bounds, last_slot, last_item):
+            if _has_negative_extension(neg, bounds, last_slot, last_item):
                 pruned += 1
             return
-        for child, slot, item in _negative_extensions(
-            pattern, bounds, last_slot, last_item
-        ):
-            visit_negative(child, slot, item, ids, slot == last_slot, first, last)
+        for child, slot, item in _negative_children(neg, bounds, last_slot, last_item):
+            visit_negative(
+                pos, positives, child, slot, item, embedded,
+                before if slot == last_slot else failing,
+            )
 
-    def visit_positive(
-        pattern: NegPattern, parent_first: dict[int, list[int]], appended: int
-    ) -> None:
-        # parent_first: the parent's earliest placements. The child places
-        # only its last positive, from the parent's last placement on (one
-        # index later when it appended a positive).
+    def visit_positive(pos: tuple[int, ...], reach: int) -> None:
+        # reach: the cells where the last positive can sit.
         nonlocal candidates, pruned
         candidates += 1
-        pos_masks = pattern.positive_masks
-        kept = len(pos_masks) - 1
-        tail = pos_masks[kept:]
-        first = {}
-        for i, placed in parent_first.items():
-            found = _earliest(tail, seqs[i], placed[-1] + appended)
-            if found is not None:
-                first[i] = placed[:kept] + found
-        if len(first) < minsup:
-            if _has_positive_extension(pattern, bounds) or _has_negative_extension(
-                pattern, bounds, -1, -1
-            ):
+        after = _flood(reach << 1, free)
+        embedded = after & sep
+        count = embedded.bit_count()
+        if count < minsup:
+            # A node of two or more positives has a negative slot to open.
+            if _has_positive_extension(pos, bounds) or len(pos) > 1:
                 pruned += 1
             return
-        frequent.append((pattern, len(first)))
-        for child in _positive_extensions(pattern, bounds):
-            visit_positive(child, first, len(child.positives) - len(pattern.positives))
-        last = None
-        for child, slot, item in _negative_extensions(pattern, bounds, -1, -1):
-            if last is None:
-                ids = list(first)
-                last = {i: _latest(pos_masks, seqs[i]) for i in ids}
-            visit_negative(child, slot, item, ids, False, first, last)
+        positives = tuple(map(Itemset, pos))
+        frequent.append((NegPattern(positives), count))
+        for child, item, appended in _positive_children(pos, bounds):
+            visit_positive(child, (after if appended else reach) & cells[item])
+        for child, slot, item in _negative_children((0,) * (len(pos) - 1), bounds, -1, -1):
+            visit_negative(pos, positives, child, slot, item, embedded, 0)
 
-    # Before the first positive, every sequence is open from index 0 on.
-    everywhere = {i: [-1] for i in range(len(seqs))}
     for item in bounds.alphabet:
-        visit_positive(NegPattern((Itemset(1 << item),)), everywhere, 1)
+        visit_positive((1 << item,), cells[item])
     return MiningResult(
         tuple(frequent), theta, minsup, MiningStats(candidates, candidates, pruned)
     )

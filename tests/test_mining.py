@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -25,6 +26,13 @@ from negseq.textio import parse_database, parse_pattern, render_pattern
 
 TOTAL_THETAS = tuple(t for t in THETAS if t.non_inclusion is NonInclusion.TOTAL)
 WEAK_STRICT_TOTAL = Theta.parse("weak-strict-total")
+
+
+def _space_size(alphabet, max_positives, max_itemset_size, max_neg_size):
+    """The number of patterns that enumerate_patterns yields."""
+    itemsets = sum(comb(alphabet, j) for j in range(1, max_itemset_size + 1))
+    fillings = sum(comb(alphabet, j) for j in range(max_neg_size + 1))
+    return sum(itemsets**k * fillings ** (k - 1) for k in range(1, max_positives + 1))
 
 
 class TestPatternBounds:
@@ -150,6 +158,34 @@ class TestPruned:
             oracle = mine_bruteforce(db, theta, minsup, bounds)
             assert set(pruned.frequent) == set(oracle.frequent)
             assert pruned.frequent == oracle.frequent  # same canonical order
+
+    @pytest.mark.parametrize("theta", THETAS, ids=lambda t: t.spell())
+    def test_agrees_with_bruteforce_on_random_bounds(self, theta):
+        # Each cap in 1..3. A draw whose space holds more than 3,000
+        # patterns is drawn again, which keeps the bruteforce oracle cheap.
+        rng = random.Random(100 + theta.index)
+        cases = 0
+        while cases < 25:
+            alphabet = rng.randint(2, 3)
+            caps = [rng.randint(1, 3) for _ in range(3)]
+            if _space_size(alphabet, *caps) > 3000:
+                continue
+            cases += 1
+            d = Dictionary(chr(ord("a") + i) for i in range(alphabet))
+            db = SequenceDatabase(
+                tuple(
+                    random_sequence(rng, alphabet=alphabet, max_len=7, max_itemset_size=2)
+                    for _ in range(rng.randint(2, 10))
+                ),
+                d,
+            )
+            minsup = rng.randint(1, max(1, len(db) // 2))
+            bounds = PatternBounds(*caps, tuple(range(alphabet)))
+            pruned = mine_pruned(db, theta, minsup, bounds)
+            oracle = mine_bruteforce(db, theta, minsup, bounds)
+            assert oracle.stats.candidates == _space_size(alphabet, *caps)
+            assert pruned.frequent == oracle.frequent
+            assert pruned.stats.candidates <= oracle.stats.candidates
 
     def test_three_step_patterns_and_strong_occurrence(self):
         rng = random.Random(99)
