@@ -157,25 +157,33 @@ def enumerate_patterns(bounds: PatternBounds) -> Iterator[NegPattern]:
     """Every valid pattern within ``bounds``, exactly once, in a fixed order:
     the canonical construction order that the pruned miner walks as well."""
 
-    def walk_positive(pos: tuple[int, ...]) -> Iterator[NegPattern]:
-        positives = tuple(map(Itemset, pos))
+    def walk_positive(
+        pos: tuple[int, ...], positives: tuple[Itemset, ...]
+    ) -> Iterator[NegPattern]:
         yield NegPattern(positives)
         for child, _, _ in _positive_children(pos, bounds):
-            yield from walk_positive(child)
-        yield from walk_negative(positives, (0,) * (len(pos) - 1), -1, -1)
+            yield from walk_positive(
+                child, positives[: len(child) - 1] + (Itemset(child[-1]),)
+            )
+        slots = len(pos) - 1
+        yield from walk_negative(positives, (0,) * slots, (NO_NEGATIVE,) * slots, -1, -1)
 
     def walk_negative(
         positives: tuple[Itemset, ...],
         neg: tuple[int, ...],
+        negatives: tuple[Negative, ...],
         last_slot: int,
         last_item: int,
     ) -> Iterator[NegPattern]:
         for child, slot, item in _negative_children(neg, bounds, last_slot, last_item):
-            yield _pattern(positives, child)
-            yield from walk_negative(positives, child, slot, item)
+            grown = (
+                negatives[:slot] + (Negative(Itemset(child[slot])),) + negatives[slot + 1 :]
+            )
+            yield NegPattern(positives, grown)
+            yield from walk_negative(positives, child, grown, slot, item)
 
     for item in bounds.alphabet:
-        yield from walk_positive((1 << item,))
+        yield from walk_positive((1 << item,), (Itemset(1 << item),))
 
 
 @dataclass(frozen=True, slots=True)
