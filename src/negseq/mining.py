@@ -239,7 +239,7 @@ def mine_pruned(
     """
     if minsup < 1:
         raise ValueError("minsup must be at least 1")
-    layout = _Layout(db.sequences, Itemset.of(bounds.alphabet).mask)
+    layout = _Layout(list(db.sequences), Itemset.of(bounds.alphabet).mask)
     cells, free, sep = layout.cells, layout.free, layout.sep
     test = _COMBO_TEST[theta.combo_index]
     strong = theta.occurrence is Occurrence.STRONG
