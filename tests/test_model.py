@@ -90,6 +90,12 @@ class TestSequence:
         with pytest.raises(ValueError):
             Sequence((EMPTY_ITEMSET,))
 
+    def test_empty_member_message_names_its_position(self):
+        a = Itemset.of([0])
+        with pytest.raises(ValueError) as info:
+            Sequence((a, EMPTY_ITEMSET, a, EMPTY_ITEMSET))
+        assert str(info.value) == "sequence itemset at position 2 is empty"
+
     def test_empty_sequence_allowed(self):
         assert len(Sequence(())) == 0
 
@@ -119,10 +125,34 @@ class TestNegPattern:
         with pytest.raises(EmptyPositiveError):
             NegPattern(())
 
+    def test_empty_positive_messages(self):
+        a = Itemset.of([0])
+        with pytest.raises(EmptyPositiveError) as info:
+            NegPattern(())
+        assert str(info.value) == "pattern has no positive itemsets"
+        with pytest.raises(EmptyPositiveError) as info:
+            NegPattern((a, EMPTY_ITEMSET))
+        assert str(info.value) == "positive itemset p2 is empty"
+        with pytest.raises(EmptyPositiveError) as info:
+            NegPattern((a, EMPTY_ITEMSET), (Negative(), Negative()))
+        assert str(info.value) == (
+            "positive itemset p2 is empty; expected 1 negative slots, got 2"
+        )
+
     def test_negative_arity_enforced(self):
         a = Itemset.of([0])
         with pytest.raises(ValueError):
             NegPattern((a, a), (Negative(), Negative()))
+
+    def test_negative_arity_message(self):
+        a = Itemset.of([0])
+        with pytest.raises(ValueError) as info:
+            NegPattern((a, a), (Negative(), Negative()))
+        assert type(info.value) is ValueError
+        assert str(info.value) == "expected 1 negative slots, got 2"
+        with pytest.raises(ValueError) as info:
+            NegPattern((a,), (Negative(),))
+        assert str(info.value) == "expected 0 negative slots, got 1"
 
     def test_mode_on_empty_slot_is_erased(self):
         slot = Negative(EMPTY_ITEMSET, NegMode.TOTAL)
@@ -160,6 +190,14 @@ class TestSequenceDatabase:
         s = Sequence((Itemset.of([1]),))
         with pytest.raises(ValueError):
             SequenceDatabase((s,), d)
+
+    def test_missing_item_message_names_the_sequence(self):
+        d = Dictionary("ab")
+        inside = Sequence((Itemset.of([0]), Itemset.of([0, 1])))
+        outside = Sequence((Itemset.of([1]), Itemset.of([0, 2])))
+        with pytest.raises(ValueError) as info:
+            SequenceDatabase((inside, outside, outside), d)
+        assert str(info.value) == "sequence 2 uses items missing from the dictionary"
 
     def test_iteration(self, table1_db):
         assert len(table1_db) == 5

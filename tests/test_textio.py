@@ -193,6 +193,14 @@ class TestNativeFormat:
         db = parse_database("(b c) f a\nd\n")
         assert list(db.dictionary) == ["b", "c", "f", "a", "d"]
 
+    def test_bracketed_items_register_in_appearance_order(self):
+        db = parse_database("(b a) a\n")
+        assert list(db.dictionary) == ["b", "a"]
+        assert [it.tokens(db.dictionary) for it in db.sequences[0]] == [
+            ("b", "a"),
+            ("a",),
+        ]
+
     def test_comment_and_blank_lines(self):
         db = parse_database("# header\n\na b\n")
         assert len(db) == 1
@@ -337,6 +345,11 @@ class TestSpmfFormat:
     def test_unknown_marker(self):
         with pytest.raises(DatabaseParseError):
             parse_database("1 -3 -1 -2\n", format="spmf")
+
+    def test_items_are_keyed_by_integer_value(self):
+        db = parse_database("01 -1 +1 -1 1 -1 -2\n", format="spmf")
+        assert list(db.dictionary) == ["1"]
+        assert db.sequences[0].masks == (1, 1, 1)
 
 
 class TestRoundTrips:
