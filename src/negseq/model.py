@@ -165,11 +165,13 @@ class Sequence:
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "itemsets", tuple(self.itemsets))
-        for position, itemset in enumerate(self.itemsets, start=1):
-            if not itemset:
-                raise ValueError(f"sequence itemset at position {position} is empty")
-        object.__setattr__(self, "masks", tuple(it.mask for it in self.itemsets))
+        itemsets = tuple(self.itemsets)
+        masks = tuple([it.mask for it in itemsets])
+        if 0 in masks:
+            position = masks.index(0) + 1
+            raise ValueError(f"sequence itemset at position {position} is empty")
+        object.__setattr__(self, "itemsets", itemsets)
+        object.__setattr__(self, "masks", masks)
 
     def __len__(self) -> int:
         return len(self.itemsets)
@@ -238,19 +240,20 @@ class NegPattern:
             negatives = tuple(NO_NEGATIVE for _ in range(len(positives) - 1))
         object.__setattr__(self, "positives", positives)
         object.__setattr__(self, "negatives", negatives)
-        problems = validate_pattern(self)
-        if problems:
-            if not positives or any(not p for p in positives):
-                raise EmptyPositiveError("; ".join(problems))
-            raise ValueError("; ".join(problems))
-        object.__setattr__(self, "positive_masks", tuple(p.mask for p in positives))
+        positive_masks = tuple([p.mask for p in positives])
+        # The conditions of validate_pattern, on masks; it only words them.
+        empty = not positive_masks or 0 in positive_masks
+        if empty or len(negatives) != len(positives) - 1:
+            problems = "; ".join(validate_pattern(self))
+            raise EmptyPositiveError(problems) if empty else ValueError(problems)
+        object.__setattr__(self, "positive_masks", positive_masks)
         object.__setattr__(
             self,
             "constrained_slots",
             tuple(
                 (i, negative.itemset.mask, negative.mode)
                 for i, negative in enumerate(negatives)
-                if negative.itemset
+                if negative.itemset.mask
             ),
         )
 
@@ -377,11 +380,10 @@ class SequenceDatabase:
         object.__setattr__(self, "sequences", tuple(self.sequences))
         bound = 1 << len(self.dictionary)
         for index, sequence in enumerate(self.sequences, start=1):
-            for itemset in sequence:
-                if itemset.mask >= bound:
-                    raise ValueError(
-                        f"sequence {index} uses items missing from the dictionary"
-                    )
+            if max(sequence.masks, default=0) >= bound:
+                raise ValueError(
+                    f"sequence {index} uses items missing from the dictionary"
+                )
 
     def __len__(self) -> int:
         return len(self.sequences)

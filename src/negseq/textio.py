@@ -201,24 +201,62 @@ def _token_column(text: str, index: int) -> int:
     return next(islice(_TOKEN.finditer(text), index, None)).start() + 1
 
 
-def _parse_native_line(line: str, lineno: int, dictionary: Dictionary) -> Sequence:
+class _Interner:
+    """One shared Itemset per distinct mask, for the lines of one parse.
+
+    Singletons are looked up by token, so a token seen before skips the
+    dictionary; every other itemset is looked up by its mask. Python hashes
+    an int modulo 2**61 - 1, so the masks of items 61 apart collide; the mask
+    table keys on the mask's width as well, which spreads them.
+    """
+
+    __slots__ = ("dictionary", "singletons", "itemsets")
+
+    def __init__(self, dictionary: Dictionary):
+        self.dictionary = dictionary
+        self.singletons: dict[str, Itemset] = {}
+        self.itemsets: dict[tuple[int, int], Itemset] = {}
+
+    def singleton(self, token: str) -> Itemset:
+        found = self.singletons.get(token)
+        if found is None:
+            found = self.singletons[token] = Itemset(1 << self.dictionary.add(token))
+        return found
+
+    def itemset(self, mask: int) -> Itemset:
+        key = (mask.bit_length(), mask)
+        found = self.itemsets.get(key)
+        if found is None:
+            found = self.itemsets[key] = Itemset(mask)
+        return found
+
+
+def _parse_native_line(line: str, lineno: int, interner: _Interner) -> Sequence:
     itemsets: list[Itemset] = []
-    items: list[int] = []
+    singletons = interner.singletons
+    mask = 0
+    last = None  # the itemset of the last item inside the brackets
     opened = -1  # token index of the unclosed '(', if any
     for index, token in enumerate(_TOKEN.findall(line)):
-        if token not in RESERVED_CHARS:
+        # Reserved characters are never items, so a hit is an item seen before.
+        itemset = singletons.get(token)
+        if itemset is None and token not in RESERVED_CHARS:
+            itemset = interner.singleton(token)
+        if itemset is not None:
             if opened < 0:
-                itemsets.append(Itemset.of([dictionary.add(token)]))
+                itemsets.append(itemset)
             else:
-                items.append(dictionary.add(token))
+                mask |= itemset.mask
+                last = itemset
         elif token == "(" and opened < 0:
-            opened, items = index, []
+            opened, mask = index, 0
         elif token == ")" and opened >= 0:
-            if not items:
+            if not mask:
                 raise EmptyItemsetError(
                     "empty itemset '()'", lineno, _token_column(line, opened)
                 )
-            itemsets.append(Itemset.of(items))
+            # Brackets around one distinct item give that item's singleton.
+            itemsets.append(last if mask == last.mask else interner.itemset(mask))
             opened = -1
         else:
             raise DatabaseParseError(
@@ -229,9 +267,9 @@ def _parse_native_line(line: str, lineno: int, dictionary: Dictionary) -> Sequen
     return Sequence(tuple(itemsets))
 
 
-def _parse_spmf_line(line: str, lineno: int, dictionary: Dictionary) -> Sequence:
+def _parse_spmf_line(line: str, lineno: int, interner: _Interner) -> Sequence:
     itemsets: list[Itemset] = []
-    current: list[int] = []
+    mask = 0
     terminated = False
     for raw in line.split():
         try:
@@ -243,22 +281,23 @@ def _parse_spmf_line(line: str, lineno: int, dictionary: Dictionary) -> Sequence
         if terminated:
             raise DatabaseParseError("items after sequence terminator -2", lineno)
         if value == -2:
-            if current:
+            if mask:
                 raise DatabaseParseError(
                     "itemset not closed with -1 before -2", lineno
                 )
             terminated = True
         elif value == -1:
-            if not current:
+            if not mask:
                 raise EmptyItemsetError(
                     "empty itemset (consecutive -1 markers)", lineno
                 )
-            itemsets.append(Itemset.of(current))
-            current = []
+            itemsets.append(interner.itemset(mask))
+            mask = 0
         elif value < 0:
             raise DatabaseParseError(f"unexpected marker {value}", lineno)
         else:
-            current.append(dictionary.add(str(value)))
+            # Keyed by value, so "01", "+1" and "1" are one item.
+            mask |= 1 << interner.dictionary.add(str(value))
     if not terminated:
         raise DatabaseParseError("sequence not terminated with -2", lineno)
     return Sequence(tuple(itemsets))
@@ -266,24 +305,22 @@ def _parse_spmf_line(line: str, lineno: int, dictionary: Dictionary) -> Sequence
 
 def parse_sequence(text: str, dictionary: Dictionary) -> Sequence:
     """Parse one native-format sequence line against an existing dictionary."""
-    return _parse_native_line(text, 1, dictionary)
+    return _parse_native_line(text, 1, _Interner(dictionary))
 
 
 def parse_database(text: str, format: str = "native") -> SequenceDatabase:
     """Parse database text; see :func:`load_database` for the formats."""
     if format not in ("native", "spmf"):
         raise ValueError(f"unknown database format {format!r}")
-    dictionary = Dictionary()
+    parse_line = _parse_native_line if format == "native" else _parse_spmf_line
+    interner = _Interner(Dictionary())
     sequences: list[Sequence] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if format == "native":
-            sequences.append(_parse_native_line(line, lineno, dictionary))
-        else:
-            sequences.append(_parse_spmf_line(line, lineno, dictionary))
-    return SequenceDatabase(tuple(sequences), dictionary)
+        sequences.append(parse_line(line, lineno, interner))
+    return SequenceDatabase(tuple(sequences), interner.dictionary)
 
 
 def load_database(path: str, format: str = "native") -> SequenceDatabase:

@@ -352,6 +352,22 @@ class TestSpmfFormat:
         assert db.sequences[0].masks == (1, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "text,format,distinct",
+    [
+        ("a (a b) b\n(b a) a (a) (a a) c\nb (a b c) (c b a) a\n", "native", 5),
+        ("1 -1 1 2 -1 2 -1 -2\n2 1 -1 01 -1 1 1 -1 3 -1 -2\n", "spmf", 4),
+    ],
+)
+def test_each_distinct_mask_is_one_shared_itemset(text, format, distinct):
+    db = parse_database(text, format)
+    shared = {}
+    for sequence in db.sequences:
+        for itemset in sequence:
+            assert shared.setdefault(itemset.mask, itemset) is itemset
+    assert len(shared) == distinct
+
+
 class TestRoundTrips:
     def test_dump_parse_identity(self, table1_db):
         text = dump_database(table1_db)
