@@ -186,11 +186,18 @@ def _ruled_out(qmask: int, test: int, smask: int) -> int:
 
 
 def _gap_fails(qmask: int, test: int, gaps: tuple[int, ...]) -> bool:
-    """Do the gap itemsets rule out all of ``qmask`` under ``test``?"""
-    covered = 0
+    """Do the gap itemsets rule out all of ``qmask`` under ``test``? The
+    union holds all of it (strict-partial), one itemset does (soft-partial),
+    or one itemset meets it (total)."""
+    if test == 1:
+        return not qmask & ~reduce(or_, gaps, 0)
+    if test == 2:
+        for g in gaps:
+            if not qmask & ~g:
+                return True
+        return False
     for g in gaps:
-        covered |= _ruled_out(qmask, test, g)
-        if covered == qmask:
+        if qmask & g:
             return True
     return False
 
@@ -442,14 +449,16 @@ def _decide(p: NegPattern, seq_masks: tuple[int, ...], wanted: int) -> int:
     slots = p.constrained_slots
     if not slots:
         return wanted
-    last = _latest(pos_masks, seq_masks)
     strong = _COMBO_SET[wanted & _STRONG_BITS]
+    weak = _COMBO_SET[wanted >> 1 & _STRONG_BITS]
+    found = weak and weak & _embedding_pass4(slots, seq_masks, first)
+    if not strong and found == weak:
+        return _SPREAD[found] << 1
+    last = _latest(pos_masks, seq_masks)
     for i, qmask, mode in slots:
         if not strong:
             break
         strong &= _slot_pass4(qmask, mode, seq_masks[first[i] + 1 : last[i + 1]])
-    weak = _COMBO_SET[wanted >> 1 & _STRONG_BITS]
-    found = weak and weak & _embedding_pass4(slots, seq_masks, first)
     for test, combos in _WEAK_PASSES:
         if weak & combos & ~found:
             tests = _slot_tests(p, test)
