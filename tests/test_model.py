@@ -89,8 +89,6 @@ class TestSequence:
     def test_empty_member_rejected(self):
         with pytest.raises(ValueError):
             Sequence((EMPTY_ITEMSET,))
-
-    def test_empty_member_message_names_its_position(self):
         a = Itemset.of([0])
         with pytest.raises(ValueError) as info:
             Sequence((a, EMPTY_ITEMSET, a, EMPTY_ITEMSET))
@@ -122,14 +120,10 @@ class TestNegPattern:
     def test_empty_positive_rejected(self):
         with pytest.raises(EmptyPositiveError, match="positive itemset p1 is empty"):
             NegPattern((EMPTY_ITEMSET,))
-        with pytest.raises(EmptyPositiveError):
-            NegPattern(())
-
-    def test_empty_positive_messages(self):
-        a = Itemset.of([0])
         with pytest.raises(EmptyPositiveError) as info:
             NegPattern(())
         assert str(info.value) == "pattern has no positive itemsets"
+        a = Itemset.of([0])
         with pytest.raises(EmptyPositiveError) as info:
             NegPattern((a, EMPTY_ITEMSET))
         assert str(info.value) == "positive itemset p2 is empty"
@@ -140,11 +134,6 @@ class TestNegPattern:
         )
 
     def test_negative_arity_enforced(self):
-        a = Itemset.of([0])
-        with pytest.raises(ValueError):
-            NegPattern((a, a), (Negative(), Negative()))
-
-    def test_negative_arity_message(self):
         a = Itemset.of([0])
         with pytest.raises(ValueError) as info:
             NegPattern((a, a), (Negative(), Negative()))
@@ -190,8 +179,6 @@ class TestSequenceDatabase:
         s = Sequence((Itemset.of([1]),))
         with pytest.raises(ValueError):
             SequenceDatabase((s,), d)
-
-    def test_missing_item_message_names_the_sequence(self):
         d = Dictionary("ab")
         inside = Sequence((Itemset.of([0]), Itemset.of([0, 1])))
         outside = Sequence((Itemset.of([1]), Itemset.of([0, 2])))

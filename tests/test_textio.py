@@ -192,8 +192,7 @@ class TestNativeFormat:
     def test_first_appearance_dictionary_order(self):
         db = parse_database("(b c) f a\nd\n")
         assert list(db.dictionary) == ["b", "c", "f", "a", "d"]
-
-    def test_bracketed_items_register_in_appearance_order(self):
+        # Brackets keep the order of appearance too, unlike pattern itemsets.
         db = parse_database("(b a) a\n")
         assert list(db.dictionary) == ["b", "a"]
         assert [it.tokens(db.dictionary) for it in db.sequences[0]] == [
