@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,6 +36,32 @@ class TestTokens:
     def test_rejected(self, bad):
         with pytest.raises(InvalidTokenError):
             check_token(bad)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("", "empty token"),
+        ("a b", "token 'a b' contains whitespace"),
+        ("x(", "token 'x(' contains reserved character '('"),
+        ("v¬", "token 'v¬' contains reserved character '¬'"),
+        # The first offending character decides the message.
+        ("a b(", "token 'a b(' contains whitespace"),
+        ("a(b c", "token 'a(b c' contains reserved character '('"),
+        ("a!b(", "token 'a!b(' contains reserved character '!'"),
+        ("\t,", "token '\\t,' contains whitespace"),
+    ])
+    def test_rejection_messages(self, bad, message):
+        with pytest.raises(InvalidTokenError) as info:
+            check_token(bad)
+        assert str(info.value) == message
+
+    def test_regex_whitespace_is_str_isspace(self):
+        # The token rule is one regular expression over \s; it must agree
+        # with str.isspace on every code point.
+        space = re.compile(r"\s")
+        mismatches = [
+            cp for cp in range(sys.maxunicode + 1)
+            if bool(space.match(chr(cp))) != chr(cp).isspace()
+        ]
+        assert mismatches == []
 
 
 class TestDictionary:
