@@ -143,7 +143,7 @@ def _cmd_match(args) -> int:
         for index, sequence in enumerate(db.sequences, start=1):
             bits = theta_bits(pattern, sequence)
             cells = [str(index)] + [
-                str(bool((bits >> t.index) & 1)).lower() for t in THETAS
+                str(bool((bits >> t) & 1)).lower() for t in range(len(THETAS))
             ]
             print(csv_row(cells), file=out)
         return 0

@@ -8,11 +8,16 @@ and safe to share across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
 RESERVED_CHARS = frozenset("(){}|!<>,#¬")
+
+# The item-token rule: a run of characters that are neither whitespace nor
+# reserved. Python's \s matches exactly the characters that str.isspace accepts.
+ITEM_TOKEN = re.compile("[^\\s" + re.escape("".join(sorted(RESERVED_CHARS))) + "]+")
 
 
 class NegseqError(Exception):
@@ -29,16 +34,16 @@ class EmptyPositiveError(NegseqError):
 
 def check_token(token: str) -> str:
     """Validate a display token and return it unchanged."""
+    if ITEM_TOKEN.fullmatch(token):
+        return token
     if not token:
         raise InvalidTokenError("empty token")
-    for ch in token:
-        if ch.isspace():
-            raise InvalidTokenError(f"token {token!r} contains whitespace")
-        if ch in RESERVED_CHARS:
-            raise InvalidTokenError(
-                f"token {token!r} contains reserved character {ch!r}"
-            )
-    return token
+    # The first character outside the rule words the rejection.
+    valid = ITEM_TOKEN.match(token)
+    ch = token[valid.end() if valid else 0]
+    if ch in RESERVED_CHARS:
+        raise InvalidTokenError(f"token {token!r} contains reserved character {ch!r}")
+    raise InvalidTokenError(f"token {token!r} contains whitespace")
 
 
 class Dictionary:
@@ -241,11 +246,23 @@ class NegPattern:
         object.__setattr__(self, "positives", positives)
         object.__setattr__(self, "negatives", negatives)
         positive_masks = tuple([p.mask for p in positives])
-        # The conditions of validate_pattern, on masks; it only words them.
+        # The alternating representation makes leading, trailing and adjacent
+        # negatives unrepresentable, so only emptiness and arity can go wrong.
         empty = not positive_masks or 0 in positive_masks
         if empty or len(negatives) != len(positives) - 1:
-            problems = "; ".join(validate_pattern(self))
-            raise EmptyPositiveError(problems) if empty else ValueError(problems)
+            problems = [
+                f"positive itemset p{index} is empty"
+                for index, mask in enumerate(positive_masks, start=1)
+                if not mask
+            ]
+            if not positives:
+                problems.append("pattern has no positive itemsets")
+            elif len(negatives) != len(positives) - 1:
+                problems.append(
+                    f"expected {len(positives) - 1} negative slots, got {len(negatives)}"
+                )
+            message = "; ".join(problems)
+            raise EmptyPositiveError(message) if empty else ValueError(message)
         object.__setattr__(self, "positive_masks", positive_masks)
         object.__setattr__(
             self,
@@ -256,26 +273,6 @@ class NegPattern:
                 if negative.itemset.mask
             ),
         )
-
-
-def validate_pattern(pattern: NegPattern) -> list[str]:
-    """Validity violations (empty list means valid); construction raises on any.
-
-    The alternating representation makes leading, trailing and adjacent
-    negatives unrepresentable, so only emptiness and arity can go wrong.
-    """
-    positives, negatives = pattern.positives, pattern.negatives
-    problems: list[str] = []
-    if len(positives) == 0:
-        problems.append("pattern has no positive itemsets")
-    for index, positive in enumerate(positives, start=1):
-        if not positive:
-            problems.append(f"positive itemset p{index} is empty")
-    if positives and len(negatives) != len(positives) - 1:
-        problems.append(
-            f"expected {len(positives) - 1} negative slots, got {len(negatives)}"
-        )
-    return problems
 
 
 def positive_part(pattern: NegPattern) -> NegPattern:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import chain
+from itertools import chain, combinations
 from math import ceil, log
 from operator import eq
 from typing import Iterable, Iterator, Sequence as SequenceABC
@@ -60,18 +60,28 @@ class OrderKind(Enum):
     NEG_EXT = "neg-ext"
 
 
-def _neg_fits(q: Itemset, q_other: Itemset, nonincl: NonInclusion) -> bool:
+def _neg_fits(q: int, q_other: int, nonincl: NonInclusion) -> bool:
     # Under total non-inclusion a negative may grow (q subset of q'); under
     # partial non-inclusion the direction reverses.
     if nonincl is NonInclusion.TOTAL:
-        return q.issubset(q_other)
-    return q_other.issubset(q)
+        return q & ~q_other == 0
+    return q_other & ~q == 0
 
 
-def _neg_itemsets(p: NegPattern) -> tuple[Itemset, ...]:
+def _neg_masks(p: NegPattern) -> tuple[int, ...]:
     # The orders compare constraint itemsets only; slot modes have no defined
     # order theory and are ignored.
-    return tuple(negative.itemset for negative in p.negatives)
+    return tuple([negative.itemset.mask for negative in p.negatives])
+
+
+def _positives_embed(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    # Each positive mask of a is a subset of a later one of b; leftmost first.
+    rest = iter(b)
+    return all(any(x & ~y == 0 for y in rest) for x in a)
+
+
+def _positives_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return len(a) <= len(b) and all(x & ~y == 0 for x, y in zip(a, b))
 
 
 def embed_incl(
@@ -80,22 +90,22 @@ def embed_incl(
     """General strict inclusion: positives of ``p`` map to a subsequence of the
     positives of ``p2`` and each negative fits the union of the slots its gap
     spans; equal-size patterns must differ somewhere."""
-    k, k2 = len(p.positives), len(p2.positives)
-    if k > k2:
-        return False
-    if k == k2 and p.positives == p2.positives and _neg_itemsets(p) == _neg_itemsets(p2):
+    a, b = p.positive_masks, p2.positive_masks
+    q, q2 = _neg_masks(p), _neg_masks(p2)
+    k, k2 = len(a), len(b)
+    if k > k2 or (a == b and q == q2):
         return False
 
     def fits(i: int, u: int, prev: int) -> bool:
         # Positive i of p on positive u of p2, after positive i - 1 on prev.
-        if not p.positives[i].issubset(p2.positives[u]):
+        if a[i] & ~b[u]:
             return False
         if i == 0:
             return True
-        union = Itemset(0)
-        for j in range(prev, u):
-            union = union.union(p2.negatives[j].itemset)
-        return _neg_fits(p.negatives[i - 1].itemset, union, nonincl)
+        union = 0
+        for mask in q2[prev:u]:
+            union |= mask
+        return _neg_fits(q[i - 1], union, nonincl)
 
     # Depth-first search, leftmost first, on an explicit stack: places[i] is
     # the positive of p2 that holds positive i of p, and u the next one to
@@ -127,21 +137,13 @@ def prefix_incl(
     """Positionwise inclusion; growth happens at the end (new positives) or
     inside itemsets. Equal-size patterns must differ in the last positive or
     in some negative."""
-    k, k2 = len(p.positives), len(p2.positives)
-    if k > k2:
+    a, b = p.positive_masks, p2.positive_masks
+    if not _positives_prefix(a, b):
         return False
-    if not all(p.positives[i].issubset(p2.positives[i]) for i in range(k)):
+    q, q2 = _neg_masks(p), _neg_masks(p2)
+    if not all(_neg_fits(x, y, nonincl) for x, y in zip(q, q2)):
         return False
-    if not all(
-        _neg_fits(p.negatives[i].itemset, p2.negatives[i].itemset, nonincl)
-        for i in range(k - 1)
-    ):
-        return False
-    if k == k2:
-        return p.positives[-1] != p2.positives[-1] or any(
-            p.negatives[i].itemset != p2.negatives[i].itemset for i in range(k - 1)
-        )
-    return True
+    return len(a) < len(b) or a[-1] != b[-1] or q != q2
 
 
 def neg_ext(
@@ -149,7 +151,7 @@ def neg_ext(
 ) -> bool:
     """Identical positives; some negative strictly grows (shrinks under the
     partial variant). That is prefix inclusion with equal positives."""
-    return p.positives == p2.positives and prefix_incl(p, p2, nonincl)
+    return eq(p.positive_masks, p2.positive_masks) and prefix_incl(p, p2, nonincl)
 
 
 _ORDER_FUNCS = {
@@ -157,16 +159,6 @@ _ORDER_FUNCS = {
     OrderKind.PREFIX_INCL: prefix_incl,
     OrderKind.NEG_EXT: neg_ext,
 }
-
-
-def _positives_embed(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    # Each positive mask of a is a subset of a later one of b; leftmost first.
-    rest = iter(b)
-    return all(any(x & ~y == 0 for y in rest) for x in a)
-
-
-def _positives_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return len(a) <= len(b) and all(x & ~y == 0 for x, y in zip(a, b))
 
 
 # For each order, a relation on positive masks that the order implies.
@@ -440,27 +432,21 @@ def enumerate_sequences(
 ) -> Iterator[Sequence]:
     """Every sequence up to ``max_len`` itemsets of bounded size, exactly once,
     in depth-first prefix order."""
-    itemsets: list[Itemset] = []
-
-    def grow(mask: int, floor: int, size: int) -> None:
-        for item in alphabet:
-            if item > floor:
-                new = mask | (1 << item)
-                itemsets.append(Itemset(new))
-                if size + 1 < max_itemset_size:
-                    grow(new, item, size + 1)
-
-    grow(0, -1, 0)
-    itemsets.sort(key=lambda it: (len(it), it.items))
-
-    def build(prefix: tuple[Itemset, ...]) -> Iterator[Sequence]:
-        for itemset in itemsets:
-            seq = prefix + (itemset,)
-            yield Sequence(seq)
-            if len(seq) < max_len:
-                yield from build(seq)
-
-    yield from build(())
+    items = sorted(alphabet)
+    itemsets = [
+        Itemset.of(combo)
+        for size in range(1, max_itemset_size + 1)
+        for combo in combinations(items, size)
+    ]
+    # Pre-order walk on an explicit stack, so the length is not bounded by
+    # the recursion limit; children are pushed last first.
+    stack: list[tuple[Itemset, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
+        if prefix:
+            yield Sequence(prefix)
+        if len(prefix) < max_len:
+            stack.extend(prefix + (itemset,) for itemset in reversed(itemsets))
 
 
 def default_space(

@@ -1,9 +1,9 @@
 """Pattern language, database file formats, and text/CSV rendering.
 
 Both text grammars read the same tokens: an item is a maximal run of
-characters that are neither whitespace nor reserved (``RESERVED_CHARS``), and
-each reserved character is a token by itself. Whitespace separates tokens, so
-``(a b)c`` is two itemsets.
+characters that are neither whitespace nor reserved (``model.ITEM_TOKEN``),
+and each reserved character is a token by itself. Whitespace separates
+tokens, so ``(a b)c`` is two itemsets.
 
 Pattern grammar::
 
@@ -26,6 +26,7 @@ from typing import Iterable, Iterator
 
 from .model import (
     Dictionary,
+    ITEM_TOKEN,
     Itemset,
     NegMode,
     NegPattern,
@@ -68,7 +69,7 @@ class EmptyItemsetError(DatabaseParseError):
 _NEG_BRACKETS = {"(": (")", None), "{": ("}", NegMode.STRICT_PARTIAL), "|": ("|", NegMode.TOTAL)}
 
 
-_TOKEN = re.compile("[^\\s" + re.escape("".join(sorted(RESERVED_CHARS))) + "]+|\\S")
+_TOKEN = re.compile(ITEM_TOKEN.pattern + "|\\S")
 
 
 def _read_items(

@@ -13,7 +13,6 @@ from negseq import (
     THETAS,
     Theta,
     support,
-    validate_pattern,
 )
 from negseq.mining import (
     PatternBounds,
@@ -78,7 +77,6 @@ class TestEnumeration:
         pats = list(enumerate_patterns(PatternBounds(3, 2, 2, (0, 1))))
         assert len(pats) == len(set(pats))
         for p in pats:
-            assert validate_pattern(p) == []
             assert len(p.positives) <= 3
             assert all(len(x) <= 2 for x in p.positives)
             assert all(len(n.itemset) <= 2 for n in p.negatives)
@@ -120,7 +118,6 @@ class TestBruteforce:
         result = mine_bruteforce(fig1_db, WEAK_STRICT_TOTAL, 2, bounds)
         patterns = [p for p, _ in result.frequent]
         assert len(patterns) == len(set(patterns))
-        assert all(validate_pattern(p) == [] for p in patterns)
         assert result.stats.candidates == len(list(enumerate_patterns(bounds)))
         assert result.stats.pruned_subtrees == 0
 

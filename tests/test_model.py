@@ -20,7 +20,6 @@ from negseq import (
     make_itemset,
     pattern_length,
     positive_part,
-    validate_pattern,
 )
 from negseq.model import check_token
 from negseq.textio import parse_pattern, render_pattern
@@ -130,7 +129,6 @@ class TestSequence:
 class TestNegPattern:
     def test_worked_example(self, abc_dict):
         p = parse_pattern("<a !(b c) (a d) d !(a b) d>", abc_dict)
-        assert validate_pattern(p) == []
         assert pattern_length(p) == 6
         plus = positive_part(p)
         assert render_pattern(plus, abc_dict) == "<a (a d) d d>"
@@ -237,7 +235,6 @@ def small_patterns(draw):
 @given(small_patterns())
 def test_positive_part_is_valid_and_counts_positives(p):
     plus = positive_part(p)
-    assert validate_pattern(plus) == []
     assert pattern_length(plus) == len(p.positives)
 
 

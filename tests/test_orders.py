@@ -1,4 +1,6 @@
 import random
+import sys
+from itertools import product
 
 import pytest
 
@@ -32,6 +34,7 @@ from negseq.orders import (
     ContainmentGrid,
     _sample_mask,
     default_space,
+    enumerate_sequences,
     random_pattern,
     random_sequence,
     verify_anti_monotonicity,
@@ -185,6 +188,34 @@ class TestNegExt:
         assert pattern_order(OrderKind.NEG_EXT, p, p2)
         assert pattern_order(OrderKind.PREFIX_INCL, p, p2)
         assert pattern_order(OrderKind.EMBED_INCL, p, p2)
+
+
+class TestEnumerateSequences:
+    @pytest.mark.parametrize("alphabet, max_len, size", list(product(
+        range(1, 4), range(1, 4), range(1, 4)
+    )))
+    def test_prefix_order_over_every_sequence(self, alphabet, max_len, size):
+        # Itemsets rank by (size, items); prefix order is the order of the
+        # sequences' rank tuples, where a prefix sorts before its extensions.
+        itemsets = sorted(
+            (Itemset(mask) for mask in range(1, 1 << alphabet)
+             if len(Itemset(mask)) <= size),
+            key=lambda it: (len(it), it.items),
+        )
+        rank = {it: r for r, it in enumerate(itemsets)}
+        expected = sorted(
+            (steps for n in range(1, max_len + 1) for steps in product(itemsets, repeat=n)),
+            key=lambda steps: [rank[it] for it in steps],
+        )
+        got = enumerate_sequences(tuple(range(alphabet)), max_len, size)
+        assert [s.itemsets for s in got] == expected
+
+    def test_lengths_past_the_recursion_limit(self):
+        depth = sys.getrecursionlimit() + 100
+        a = Itemset.of([0])
+        sequences = list(enumerate_sequences((0,), depth, 1))
+        assert [len(s) for s in sequences] == list(range(1, depth + 1))
+        assert sequences[-1].itemsets == (a,) * depth
 
 
 def _enumerated(alphabet=2, max_pos=2, itemset=1, neg=1):
