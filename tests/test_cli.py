@@ -391,6 +391,7 @@ FILL_4_4 = ("--fill-alphabet", "4", "--fill-seq-len", "4")
         ("equivalence", ()),
         ("lemmas", ("--draws", "500")),
         pytest.param("dominance", FILL_4_4, id="dominance-fill-4-4"),
+        pytest.param("antimono", FILL_4_4, id="antimono-fill-4-4"),
     ],
 )
 def test_verify_output_matches_golden(capsys, suite, extra, fmt):

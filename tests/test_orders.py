@@ -3,6 +3,7 @@ import sys
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from negseq import (
     Counterexample,
@@ -347,19 +348,26 @@ class TestDominanceScan:
         grid = ContainmentGrid(space.patterns, space.sequences)
         assert grid._contained == pairwise_masks(space.patterns, space.sequences)
 
-    def test_grid_agrees_with_naive_scan(self):
-        rng = random.Random(11)
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6))
+    @example(11)
+    def test_grid_agrees_with_naive_scan(self, seed):
+        # Empty sequences, first and last among them, test that each
+        # counterexample names the sequence where the grid found it.
+        rng = random.Random(seed)
         patterns = [random_pattern(rng, alphabet=3) for _ in range(12)]
         sequences = [random_sequence(rng, alphabet=3, max_len=4) for _ in range(15)]
+        for _ in range(rng.randint(0, 3)):
+            sequences.insert(rng.randint(0, len(sequences)), Sequence(()))
         grid = ContainmentGrid(patterns, sequences)
         for left in THETAS:
             for right in THETAS:
-                fast = grid.dominance(left, right)
                 slow = naive_dominance_scan(left, right, patterns, sequences)
-                assert fast.holds == slow.holds
-                assert fast.checked_pairs == slow.checked_pairs
-                if not fast.holds:
-                    assert fast.counterexample == slow.counterexample
+                assert grid.dominance(left, right) == slow
+        order = rng.choice(list(OrderKind))
+        for theta in THETAS:
+            slow = naive_anti_monotonicity_scan(theta, order, patterns, sequences)
+            assert grid.anti_monotonicity(theta, order) == slow
 
 
 class TestEquivalenceClasses:
