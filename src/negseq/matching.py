@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, itemgetter, or_
+from operator import and_, or_
 from typing import Iterator
 
 from .model import (
@@ -602,10 +602,10 @@ class _Layout:
     patterns use."""
 
     def __init__(self, sequences: list[Sequence], items: int):
-        self.size = size = sum(len(s) for s in sequences) + len(sequences) + 1
+        size = sum(len(s) for s in sequences) + len(sequences) + 1
         # Bit c of a row, little-endian, is cell c.
         rows = {x: bytearray((size + 7) // 8) for x in Itemset(items)}
-        ends = []  # the cell of each sequence's end separator
+        self.ends = ends = []  # the cell of each sequence's end separator
         cell = 0
         for s in sequences:
             for mask in s.masks:
@@ -617,10 +617,6 @@ class _Layout:
         self.sep = sum(1 << cell for cell in ends) | 1
         self.free = ((1 << size) - 1) ^ self.sep
         self.cells = {x: int.from_bytes(row, "little") for x, row in rows.items()}
-        # format(marks, ...)[size - 1 - c] is the bit of cell c; the getter
-        # reads the end separators last sequence first.
-        self._ends = itemgetter(*(size - 1 - cell for cell in reversed(ends)))
-        self._seq_masks: dict[int, int] = {}
         self._positives: dict[int, int] = {}
         self._blockers: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -633,14 +629,6 @@ class _Layout:
                 found &= self.cells[x]
             self._positives[pmask] = found
         return found
-
-    def sequence_mask(self, marks: int) -> int:
-        """Bit j set iff the end separator of sequence j is in ``marks``."""
-        mask = self._seq_masks.get(marks)
-        if mask is None:
-            text = format(marks, f"0{self.size}b")
-            mask = self._seq_masks[marks] = int("".join(self._ends(text)), 2)
-        return mask
 
     def blockers(self, qmask: int, test: int) -> tuple[int, ...]:
         """A slot test on negative ``qmask`` as blocker sets, each given by
@@ -695,9 +683,13 @@ class _Layout:
         return _flood(reach << 1, free) & self.sep
 
 
-def theta_masks(patterns: list[NegPattern], sequences: list[Sequence]) -> list[list[int]]:
+def theta_masks(
+    patterns: list[NegPattern], sequences: list[Sequence]
+) -> tuple[list[list[int]], dict[int, int]]:
     """For each pattern, the sequences that contain it under each relation,
-    in THETAS order: bit j of a mask stands for ``sequences[j]``.
+    in THETAS order, and the index in ``sequences`` of each end-separator
+    cell. A mask holds the end separators of the containing sequences; the
+    cells run in sequence order, so the lowest cell is the lowest sequence.
 
     The vertical engine: it decides each pattern against all the sequences
     at once, in a few big-int operations per slot and test, and agrees
@@ -713,6 +705,8 @@ def theta_masks(patterns: list[NegPattern], sequences: list[Sequence]) -> list[l
             items |= qmask
     layout = _Layout(sequences, items)
     embedded_by: dict[tuple[int, ...], int] = {}
+    # One object per distinct mask: a large grid repeats few masks many times.
+    shared: dict[int, int] = {}
     rows = []
     for p in patterns:
         pos_masks = p.positive_masks
@@ -721,7 +715,7 @@ def theta_masks(patterns: list[NegPattern], sequences: list[Sequence]) -> list[l
             embedded_by[pos_masks] = layout.reach(pos_masks, any_gaps)
         embedded = embedded_by[pos_masks]
         if not embedded or not p.constrained_slots:
-            rows.append([layout.sequence_mask(embedded)] * len(THETAS))
+            rows.append([shared.setdefault(embedded, embedded)] * len(THETAS))
             continue
         # The sequences where some placement fails a slot under each test. A
         # pinned slot fails or passes alike under all three.
@@ -741,9 +735,9 @@ def theta_masks(patterns: list[NegPattern], sequences: list[Sequence]) -> list[l
         }
         rows.append(
             [
-                layout.sequence_mask(marks)
+                shared.setdefault(marks, marks)
                 for test in _COMBO_TEST
                 for marks in (embedded & ~failing[test], weak[test])
             ]
         )
-    return rows
+    return rows, {cell: j for j, cell in enumerate(layout.ends)}

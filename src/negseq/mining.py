@@ -147,6 +147,12 @@ def _has_negative_extension(
     )
 
 
+def cuts_negatives(theta: Theta) -> bool:
+    """Whether growing a negative only loses sequences under ``theta``, so
+    that the miner cuts a negative subtree below ``minsup``: total non-inclusion."""
+    return theta.non_inclusion is NonInclusion.TOTAL
+
+
 def _pattern(positives: tuple[Itemset, ...], neg: tuple[int, ...]) -> NegPattern:
     return NegPattern(
         positives, tuple(Negative(Itemset(q)) if q else NO_NEGATIVE for q in neg)
@@ -243,7 +249,7 @@ def mine_pruned(
     cells, free, sep = layout.cells, layout.free, layout.sep
     test = _COMBO_TEST[theta.combo_index]
     strong = theta.occurrence is Occurrence.STRONG
-    partial = theta.non_inclusion is NonInclusion.PARTIAL
+    cut_negatives = cuts_negatives(theta)
     frequent: list[tuple[NegPattern, int]] = []
     candidates = 0
     pruned = 0
@@ -273,7 +279,7 @@ def mine_pruned(
             count = layout.reach(pos, gaps).bit_count()
         if count >= minsup:
             frequent.append((_pattern(positives, neg), count))
-        elif not partial:
+        elif cut_negatives:
             if _has_negative_extension(neg, bounds, last_slot, last_item):
                 pruned += 1
             return

@@ -44,7 +44,7 @@ from .matching import (
     theta_bits,
     theta_masks,
 )
-from .mining import PatternBounds, enumerate_patterns
+from .mining import PatternBounds, cuts_negatives, enumerate_patterns
 from .textio import parse_pattern, parse_sequence
 
 
@@ -269,18 +269,18 @@ def equivalence_classes(
 class ContainmentGrid:
     """Containment bits for every (pattern, sequence) pair of a space.
 
-    For each pattern and relation the grid keeps one bitmask over sequence
-    indexes, so every scan is a few integer operations per pattern, which
-    keeps the verification suites well inside their time budgets. The
-    vertical engine (:func:`~negseq.matching.theta_masks`) builds the masks,
-    deciding each pattern against all the sequences at once.
+    For each pattern and relation the grid keeps one bitmask over the
+    sequences' end separators, so every scan is a few integer operations per
+    pattern, which keeps the verification suites well inside their time
+    budgets. The vertical engine (:func:`~negseq.matching.theta_masks`)
+    builds the masks and names the sequence of each end separator.
     """
 
     def __init__(self, patterns: Iterable[NegPattern], sequences: Iterable[Sequence]):
         self.patterns, self.sequences = list(patterns), list(sequences)
         if not self.patterns or not self.sequences:
             raise EmptySpaceError("pattern and sequence spaces must be non-empty")
-        self._contained = theta_masks(self.patterns, self.sequences)
+        self._contained, self._sequence_of = theta_masks(self.patterns, self.sequences)
         self._n_seq = len(self.sequences)
         # Comparable pattern index pairs, per order and order variant.
         self._comparable: dict[tuple[OrderKind, NonInclusion], tuple] = {}
@@ -299,7 +299,7 @@ class ContainmentGrid:
         for index, (a, b, p, p2) in enumerate(cases):
             bad = a & ~b
             if bad:
-                j = (bad & -bad).bit_length() - 1
+                j = self._sequence_of[(bad & -bad).bit_length() - 1]
                 return Verdict(
                     False,
                     Counterexample(p, p2, self.sequences[j]),
@@ -592,17 +592,14 @@ class AntiMonotonicityReport:
 
 
 def _expected_anti_monotone(order: OrderKind, theta: Theta) -> bool:
-    # Known results, for orders taken with total non-inclusion: nothing is
-    # anti-monotonic under general inclusion; prefix inclusion preserves
-    # weak-total containment; negative extension preserves all total
-    # relations. Partial relations fail everywhere on these spaces.
-    if theta.non_inclusion is NonInclusion.PARTIAL:
+    # Known results: negative extension preserves the relations under which
+    # the miner cuts negatives; nothing is anti-monotonic under general
+    # inclusion; prefix inclusion preserves weak-total containment only.
+    if order is OrderKind.NEG_EXT:
+        return cuts_negatives(theta)
+    if order is OrderKind.EMBED_INCL or theta.non_inclusion is NonInclusion.PARTIAL:
         return False
-    if order is OrderKind.EMBED_INCL:
-        return False
-    if order is OrderKind.PREFIX_INCL:
-        return theta.occurrence is Occurrence.WEAK
-    return True
+    return theta.occurrence is Occurrence.WEAK
 
 
 def verify_anti_monotonicity(

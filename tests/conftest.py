@@ -53,6 +53,21 @@ def abc_dict():
     return Dictionary("abcdef")
 
 
+def sequence_rows(rows, sequence_of):
+    """A grid's rows, masks over end-separator cells, as masks over sequence
+    indexes. A set bit that is no sequence's end separator raises KeyError."""
+
+    def bits(mask):
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << sequence_of[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    return [[bits(mask) for mask in row] for row in rows]
+
+
 def pairwise_masks(patterns, sequences):
     """The rows of a containment grid, per pattern one mask over sequence
     indexes for each relation, built pair by pair with theta_bits."""

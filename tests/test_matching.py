@@ -33,7 +33,7 @@ from negseq import (
 from negseq.matching import _decide, theta_masks, weak_strong_support
 from negseq.orders import random_pattern, random_sequence
 from negseq.textio import parse_pattern, parse_sequence
-from conftest import pairwise_masks
+from conftest import pairwise_masks, sequence_rows
 
 SOFT, STRICT = EmbeddingKind.SOFT, EmbeddingKind.STRICT
 PARTIAL, TOTAL = NonInclusion.PARTIAL, NonInclusion.TOTAL
@@ -538,7 +538,7 @@ class TestSupport:
 
 
 def vertical_rows(patterns, sequences):
-    rows = theta_masks(patterns, sequences)
+    rows = sequence_rows(*theta_masks(patterns, sequences))
     assert rows == pairwise_masks(patterns, sequences)
     return rows
 

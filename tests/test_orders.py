@@ -44,7 +44,7 @@ from negseq.orders import (
     verify_invariants,
 )
 from negseq.textio import parse_pattern, parse_sequence
-from conftest import pairwise_masks
+from conftest import pairwise_masks, sequence_rows
 
 PARTIAL, TOTAL = NonInclusion.PARTIAL, NonInclusion.TOTAL
 
@@ -346,7 +346,8 @@ class TestDominanceScan:
     def test_grid_masks_equal_pairwise_theta_bits(self, singleton):
         space = default_space(singleton_negatives=singleton)
         grid = ContainmentGrid(space.patterns, space.sequences)
-        assert grid._contained == pairwise_masks(space.patterns, space.sequences)
+        rows = sequence_rows(grid._contained, grid._sequence_of)
+        assert rows == pairwise_masks(space.patterns, space.sequences)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**6))
