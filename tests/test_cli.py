@@ -321,6 +321,7 @@ class TestVerifyCommand:
             ("--suite", "dominance", "--fill-seq-len", "0"),
             ("--suite", "dominance", "--fill-seq-itemset", "-3"),
             ("--suite", "antimono", "--fill-max-neg", "0"),
+            ("--suite", "equivalence", "--fill-alphabet", "7"),
         ],
     )
     def test_vacuous_bounds_are_usage_errors(self, capsys, argv):
@@ -392,6 +393,7 @@ FILL_4_4 = ("--fill-alphabet", "4", "--fill-seq-len", "4")
         ("lemmas", ("--draws", "500")),
         pytest.param("dominance", FILL_4_4, id="dominance-fill-4-4"),
         pytest.param("antimono", FILL_4_4, id="antimono-fill-4-4"),
+        pytest.param("equivalence", FILL_4_4, id="equivalence-fill-4-4"),
     ],
 )
 def test_verify_output_matches_golden(capsys, suite, extra, fmt):

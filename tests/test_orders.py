@@ -1,6 +1,6 @@
 import random
 import sys
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,10 +29,12 @@ from negseq import (
     pattern_order,
     prefix_incl,
     support,
+    theta_bits,
 )
 from negseq.mining import PatternBounds, enumerate_patterns
 from negseq.orders import (
     ContainmentGrid,
+    _neg_fits,
     _sample_mask,
     default_space,
     enumerate_sequences,
@@ -86,6 +88,28 @@ def naive_anti_monotonicity_scan(theta, order, patterns, sequences, order_noninc
                 if is_contained(p2, s, theta) and not is_contained(p, s, theta):
                     return Verdict(False, Counterexample(p, p2, s), checked)
     return Verdict(True, None, checked)
+
+
+def embed_incl_by_definition(p, p2, nonincl):
+    """Oracle for embed_incl: every increasing map of the positives of p into
+    those of p2, each negative against the union of the slots its gap spans."""
+    a, b = p.positive_masks, p2.positive_masks
+    q = [negative.itemset.mask for negative in p.negatives]
+    q2 = [negative.itemset.mask for negative in p2.negatives]
+    if (a, q) == (b, q2):
+        return False
+    for places in combinations(range(len(b)), len(a)):
+        if any(x & ~b[u] for x, u in zip(a, places)):
+            continue
+        unions = []
+        for u, v in zip(places, places[1:]):
+            union = 0
+            for mask in q2[u:v]:
+                union |= mask
+            unions.append(union)
+        if all(_neg_fits(x, union, nonincl) for x, union in zip(q, unions)):
+            return True
+    return False
 
 
 def greedy_equivalence_classes(grid, thetas):
@@ -148,6 +172,19 @@ class TestEmbedIncl:
         # can tell that b fits nowhere.
         a, b = Itemset.of([0]), Itemset.of([1])
         assert not embed_incl(NegPattern((a,) * 30 + (b,)), NegPattern((a,) * 60))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6))
+    @example(17)
+    def test_equals_the_definition(self, seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            alphabet = rng.randint(3, 4)
+            p = random_pattern(rng, alphabet=alphabet, max_positives=4)
+            p2 = random_pattern(rng, alphabet=alphabet, max_positives=6)
+            for nonincl in (TOTAL, PARTIAL):
+                expected = embed_incl_by_definition(p, p2, nonincl)
+                assert embed_incl(p, p2, nonincl) == expected
 
 
 class TestPrefixIncl:
@@ -649,3 +686,20 @@ class TestSuites:
         checks = verify_invariants(draws=1500, seed=3)
         assert all(check.ok for check in checks)
         assert len(checks) == 9
+
+    def test_invariant_harness_reports_failures(self, monkeypatch):
+        # Containment that drops every weak relation's bit breaks exactly the
+        # two checks that read the weak bits of theta_bits.
+        real = theta_bits
+        monkeypatch.setattr(
+            "negseq.orders.theta_bits", lambda p, s: real(p, s) & 0x55
+        )
+        failed = {
+            check.name: (check.failures, check.example)
+            for check in verify_invariants(draws=300, seed=3)
+            if not check.ok
+        }
+        assert failed == {
+            "strong containment implies weak containment": (220, "strong-strict-partial"),
+            "containment respects the dominance table": (220, "strong-strict-partial"),
+        }
