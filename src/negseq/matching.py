@@ -536,7 +536,7 @@ def theta_bits(p: NegPattern, s: Sequence) -> int:
     """Containment under all eight relations at once.
 
     Bit t is set iff ``p`` is contained in ``s`` under ``THETAS[t]``. Used by
-    the verification scans and the all-thetas reports.
+    the lemma harness, ``match --all-thetas`` and :func:`all_theta_supports`.
     """
     return _decide(p, s.masks, _ALL_BITS)
 

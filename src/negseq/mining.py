@@ -125,28 +125,6 @@ def _negative_children(
             yield neg[:slot] + (q | 1 << item,) + neg[slot + 1 :], slot, item
 
 
-def _has_positive_extension(pos: tuple[int, ...], bounds: PatternBounds) -> bool:
-    if len(pos) < bounds.max_positives:
-        return True
-    last = pos[-1]
-    return (
-        last.bit_count() < bounds.max_itemset_size
-        and bounds.alphabet[-1] > last.bit_length() - 1
-    )
-
-
-def _has_negative_extension(
-    neg: tuple[int, ...], bounds: PatternBounds, last_slot: int, last_item: int
-) -> bool:
-    if last_slot + 1 < len(neg):  # an empty slot after the last one grown
-        return True
-    return (
-        last_slot >= 0
-        and neg[last_slot].bit_count() < bounds.max_neg_size
-        and bounds.alphabet[-1] > last_item
-    )
-
-
 def cuts_negatives(theta: Theta) -> bool:
     """Whether growing a negative only loses sequences under ``theta``, so
     that the miner cuts a negative subtree below ``minsup``: total non-inclusion."""
@@ -197,7 +175,7 @@ class MiningStats:
     """candidates: patterns whose support was evaluated; support_calls:
     support counts, one per candidate, over the whole database for the
     bruteforce engine and on the vertical layout for the pruned one;
-    pruned_subtrees: nodes whose extensions were cut."""
+    pruned_subtrees: cut nodes that have a child in the canonical tree."""
 
     candidates: int = 0
     support_calls: int = 0
@@ -280,7 +258,7 @@ def mine_pruned(
         if count >= minsup:
             frequent.append((_pattern(positives, neg), count))
         elif cut_negatives:
-            if _has_negative_extension(neg, bounds, last_slot, last_item):
+            if next(_negative_children(neg, bounds, last_slot, last_item), None):
                 pruned += 1
             return
         for child, slot, item in _negative_children(neg, bounds, last_slot, last_item):
@@ -298,7 +276,7 @@ def mine_pruned(
         count = embedded.bit_count()
         if count < minsup:
             # A node of two or more positives has a negative slot to open.
-            if _has_positive_extension(pos, bounds) or len(pos) > 1:
+            if len(pos) > 1 or next(_positive_children(pos, bounds), None):
                 pruned += 1
             return
         positives = tuple(map(Itemset, pos))

@@ -96,39 +96,26 @@ def embed_incl(
     if k > k2 or (a == b and q == q2):
         return False
 
-    def fits(i: int, u: int, prev: int) -> bool:
-        # Positive i of p on positive u of p2, after positive i - 1 on prev.
-        if a[i] & ~b[u]:
-            return False
-        if i == 0:
-            return True
-        union = 0
-        for mask in q2[prev:u]:
-            union |= mask
-        return _neg_fits(q[i - 1], union, nonincl)
-
-    # Depth-first search, leftmost first, on an explicit stack: places[i] is
-    # the positive of p2 that holds positive i of p, and u the next one to
-    # try for positive len(places). Whether the rest of p can still be placed
-    # depends only on how many positives are placed and where the last sits,
-    # so a (placed, last) state that failed once is not entered again.
-    places: list[int] = []
-    dead: set[tuple[int, int]] = set()
-    u = 0
-    while len(places) < k:
-        i = len(places)
-        prev = places[-1] if places else -1
-        if u > k2 - k + i:
-            if not places:
-                return False
-            dead.add((i, prev))
-            u = places.pop() + 1
-        elif (i + 1, u) not in dead and fits(i, u, prev):
-            places.append(u)
-            u += 1
-        else:
-            u += 1
-    return True
+    # One forward pass over the positives of p: ``places`` holds, as bits,
+    # the positives of p2 that can hold positive i, within the window
+    # u <= k2 - k + i that leaves room for the rest. Positive i may sit on u
+    # after a place of positive i - 1 whose span to u fits negative i - 1.
+    # That test is monotone in the span's union, so one earlier place
+    # decides: the earliest under total non-inclusion (the widest union),
+    # the latest under partial (the narrowest). ``union`` is the union of
+    # the slots from that place to u, None while there is no such place.
+    total = nonincl is NonInclusion.TOTAL
+    places = sum(1 << u for u in range(k2 - k + 1) if not a[0] & ~b[u])
+    for i in range(1, k):
+        before, places, union = places, 0, None
+        for u in range(i, k2 - k + i + 1):
+            if before >> (u - 1) & 1 and (union is None or not total):
+                union = 0
+            if union is not None:
+                union |= q2[u - 1]
+                if not a[i] & ~b[u] and _neg_fits(q[i - 1], union, nonincl):
+                    places |= 1 << u
+    return places != 0
 
 
 def prefix_incl(
