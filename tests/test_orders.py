@@ -690,9 +690,8 @@ class TestSuites:
     def test_invariant_harness_reports_failures(self, monkeypatch):
         # Containment that drops every weak relation's bit breaks exactly the
         # two checks that read the weak bits of theta_bits.
-        real = theta_bits
         monkeypatch.setattr(
-            "negseq.orders.theta_bits", lambda p, s: real(p, s) & 0x55
+            "negseq.orders.theta_bits", lambda p, s: theta_bits(p, s) & 0x55
         )
         failed = {
             check.name: (check.failures, check.example)
