@@ -1,6 +1,10 @@
 import io
 import math
+import os
+import random
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -8,9 +12,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from negseq import THETAS, Theta, contains, load_database, parse_pattern
+from negseq import (
+    THETAS,
+    Theta,
+    contains,
+    load_database,
+    parse_pattern,
+    positive_embeddings,
+    positive_part,
+)
 from negseq.cli import run
-from negseq.model import RESERVED_CHARS, Dictionary
+from negseq.model import RESERVED_CHARS, Dictionary, NegMode, NegPattern, Negative
 from negseq.orders import (
     AntiMonotonicityCheck,
     AntiMonotonicityReport,
@@ -22,8 +34,15 @@ from negseq.orders import (
     OrderKind,
     Verdict,
     known_dominance,
+    random_pattern,
+    random_sequence,
 )
-from negseq.textio import dominance_table_to_text, parse_sequence
+from negseq.textio import (
+    dominance_table_to_text,
+    parse_sequence,
+    render_pattern,
+    render_sequence,
+)
 from conftest import ABSENCE_TEXT, FIG1_TEXT, TABLE1_TEXT
 
 
@@ -52,6 +71,21 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def first_call(*argv):
+    """Exit code, stdout and stderr of ``python -m negseq`` in a new process,
+    where the call is the first one."""
+    done = subprocess.run(
+        [sys.executable, "-m", "negseq", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 class TestSupportCommand:
@@ -217,6 +251,65 @@ class TestMatchCommand:
             capsys, "match", "--db", str(path), "--pattern", pattern, "--theta", theta,
         )
         assert (code, out, err) == (0, f"seq,contained\n1,{contained}\n", "")
+
+
+
+# --- match --explain against the enumeration oracle ---------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_explain_cells_agree_with_the_oracle(seed):
+    # Small random databases over three items, where many sequences hold no
+    # placement of the positives and others hold several.
+    rng = random.Random(seed)
+    names = Dictionary("abc")
+    p = random_pattern(rng, alphabet=3, max_positives=4, max_itemset_size=2, max_neg_size=2)
+    modes = (None, *NegMode)
+    p = NegPattern(
+        p.positives,
+        tuple(Negative(n.itemset, rng.choice(modes)) for n in p.negatives),
+    )
+    lines = [
+        render_sequence(random_sequence(rng, alphabet=3, max_len=8, max_itemset_size=2), names)
+        for _ in range(1 + rng.randrange(6))
+    ]
+    theta = rng.choice(THETAS)
+    text = render_pattern(p, names)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "db.txt"
+        # The first line keeps the database non-empty. An empty sequence
+        # renders as a blank line, which the parser skips, so the rows follow
+        # the loaded database.
+        path.write_text("a b c\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run([
+                "match", f"--db={path}", f"--pattern={text}",
+                f"--theta={theta.spell()}", "--explain",
+            ])
+        db = load_database(str(path))
+    assert (code, err.getvalue()) == (0, "")
+    pattern = parse_pattern(text, db.dictionary)
+    rows = out.getvalue().splitlines()
+    assert rows[0] == "seq,contained,detail"
+    assert len(rows) == 1 + len(db.sequences)
+    for index, (row, s) in enumerate(zip(rows[1:], db.sequences), start=1):
+        embeddings = positive_embeddings(positive_part(pattern), s)
+        report = contains(pattern, s, theta)
+        seq, contained, detail = row.split(",")
+        assert (seq, contained) == (str(index), str(report.contained).lower())
+        assert (detail == "no-positive-embedding") == (not embeddings)
+        if detail.startswith("witness="):
+            assert report.contained
+            assert detail == "witness=(" + " ".join(map(str, report.witness)) + ")"
+        elif detail.startswith("violator="):
+            assert not report.contained
+            assert detail == "violator=(" + " ".join(map(str, report.violator)) + ")"
+        else:
+            assert detail == "no-positive-embedding"
+        assert report.total_positive_embeddings == len(embeddings)
+        assert report.total_positive_embeddings == len(embeddings)
 
 
 class TestMineCommand:
@@ -551,6 +644,44 @@ class TestDeterminism:
         _, out2, err2 = invoke(capsys, *args)
         assert out1 == out2
         assert err1 == err2
+
+
+
+class TestRepeatedRuns:
+    """Calls of ``run`` in one process do not see each other: each prints
+    what a first call in a new process prints."""
+
+    def test_append_action_does_not_accumulate(self, capsys, table1_path):
+        base = ("report", "--db", table1_path, "--format", "csv")
+        code, out, _ = invoke(capsys, *base, "--pattern", "<b a>", "--pattern", "<b !c a>")
+        assert (code, len(out.splitlines())) == (0, 3)
+        second = invoke(capsys, *base, "--pattern", "<b !c a>")
+        assert len(second[1].splitlines()) == 2
+        assert second == first_call(*base, "--pattern", "<b !c a>")
+
+    def test_usage_error_leaves_no_trace(self, capsys, table1_path):
+        code, out, err = invoke(capsys, "match", "--db", table1_path, "--theta", "weak-soft-total")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: negseq match")
+        argv = ("match", "--db", table1_path, "--pattern", "<b !c a>", "--theta",
+                "weak-soft-total", "--explain")
+        assert invoke(capsys, *argv) == first_call(*argv)
+
+    def test_help_is_the_same_before_and_after_other_calls(self, capsys, table1_path):
+        code, before, err = invoke(capsys, "match", "--help")
+        assert (code, err) == (0, "")
+        assert before.startswith("usage: negseq match")
+        invoke(capsys, "support", "--db", table1_path, "--pattern", "<b a>", "--all-thetas")
+        invoke(capsys, "match", "--db", table1_path)
+        assert invoke(capsys, "match", "--help") == (0, before, "")
+
+    def test_defaults_are_not_sticky(self, capsys):
+        suite = ("verify", "--suite", "lemmas", "--draws", "20")
+        code, out, _ = invoke(capsys, *suite, "--format", "csv")
+        assert (code, out.splitlines()[0]) == (0, "check,draws,failures,example")
+        second = invoke(capsys, *suite)
+        assert second[1].endswith(" violations\n")
+        assert second == first_call(*suite)
 
 
 class TestSpmfThroughCli:
