@@ -9,6 +9,7 @@ inputs. Exit codes: 0 success, 1 a verification suite found a violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .matching import all_theta_supports, contains, support, theta_bits
@@ -58,7 +59,10 @@ def _embedding_text(e: tuple[int, ...]) -> str:
     return "(" + " ".join(str(pos) for pos in e) + ")"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call. Parsing leaves it unchanged, and
+    argparse reads the terminal width only when it formats help."""
     parser = argparse.ArgumentParser(
         prog="negseq",
         description="Negative sequential patterns: matching, verification, mining.",
@@ -154,12 +158,12 @@ def _cmd_match(args) -> int:
         report = contains(pattern, sequence, theta)
         cells = [str(index), str(report.contained).lower()]
         if args.explain:
-            if report.contained and report.witness:
-                cells.append(f"witness={_embedding_text(report.witness)}")
-            elif not report.contained and report.violator:
-                cells.append(f"violator={_embedding_text(report.violator)}")
-            elif report.total_positive_embeddings == 0:
+            if report.witness is None and report.violator is None:
                 cells.append("no-positive-embedding")
+            elif report.contained:
+                cells.append(f"witness={_embedding_text(report.witness)}")
+            else:
+                cells.append(f"violator={_embedding_text(report.violator)}")
         print(csv_row(cells), file=out)
     return 0
 
@@ -363,7 +367,11 @@ _HANDLERS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse arguments and dispatch; returns the process exit code."""
+    """Parse arguments and dispatch; returns the process exit code.
+
+    The parser is built once per process. Repeated calls are independent:
+    each parses into a fresh namespace and prints what a first call prints.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

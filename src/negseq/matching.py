@@ -4,15 +4,16 @@ Builds up from itemset non-inclusion through soft/strict embeddings and
 weak/strong occurrence to support counting. All functions are pure.
 
 Two engines decide containment. The per-sequence core decides one pattern
-in one sequence; :func:`contains` (with witness, violator and count),
-:func:`is_contained`, :func:`support`, :func:`theta_bits`,
-:func:`all_theta_supports` and the bruteforce miner use it. The vertical
-engine, ``_Layout``, decides patterns against a list of sequences laid out
-as one bit string: :func:`theta_masks` builds ``orders.ContainmentGrid``, the
-verification grid, with it, ``mining.mine_pruned`` counts every candidate on
-one layout of the database, and the tests check it against the core. Its
-strong containment is the sequences that contain the positive part minus
-those where some placement fails a slot, each found by one forward pass.
+in one sequence; :func:`contains` (with witness and violator, and a count
+of the placements made only when it is read), :func:`is_contained`,
+:func:`support`, :func:`theta_bits`, :func:`all_theta_supports` and the
+bruteforce miner use it. The vertical engine, ``_Layout``, decides patterns
+against a list of sequences laid out as one bit string: :func:`theta_masks`
+builds ``orders.ContainmentGrid``, the verification grid, with it,
+``mining.mine_pruned`` counts every candidate on one layout of the database,
+and the tests check it against the core. Its strong containment is the
+sequences that contain the positive part minus those where some placement
+fails a slot, each found by one forward pass.
 
 Every relation quantifies over all placements of the positives, of which
 there can be exponentially many. No decision enumerates them: one containment
@@ -25,7 +26,7 @@ tests check the core against.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, or_
 from typing import Iterator
@@ -475,15 +476,27 @@ class MatchReport:
     ``witness`` is the lexicographically first positive embedding that
     satisfies the negatives under the relation's (embedding, non-inclusion)
     combo, and ``violator`` the first that does not; each is None when there
-    is no such embedding. So a weak relation holds iff ``witness`` is set,
-    and a strong one iff the count is positive and ``violator`` is None. The
-    embedding count is exact.
+    is no such embedding. Every embedding is one or the other, so both are
+    None iff the positives do not embed. A weak relation holds iff
+    ``witness`` is set, and a strong one iff ``witness`` is set and
+    ``violator`` is None.
+
+    ``total_positive_embeddings`` is the exact number of embeddings,
+    counted when it is read, in O(k*n) mask operations from the earliest and
+    latest placements. It is not a field: it takes no part in ``==`` or
+    ``repr``.
     """
 
     contained: bool
     witness: Embedding | None
     violator: Embedding | None
-    total_positive_embeddings: int
+    # The positives, the itemsets and the earliest and latest placements
+    # that the count reads; None when the positives do not embed.
+    _placements: tuple | None = field(default=None, kw_only=True, repr=False, compare=False)
+
+    @property
+    def total_positive_embeddings(self) -> int:
+        return 0 if self._placements is None else _count_embeddings(*self._placements)
 
 
 def contains(p: NegPattern, s: Sequence, theta: Theta) -> MatchReport:
@@ -498,7 +511,7 @@ def contains(p: NegPattern, s: Sequence, theta: Theta) -> MatchReport:
     pos_masks = p.positive_masks
     first = _earliest(pos_masks, seq_masks)
     if first is None:
-        return MatchReport(False, None, None, 0)
+        return MatchReport(False, None, None)
     last = _latest(pos_masks, seq_masks)
     combo = theta.combo_index
     tests = _slot_tests(p, _COMBO_TEST[combo])
@@ -513,8 +526,9 @@ def contains(p: NegPattern, s: Sequence, theta: Theta) -> MatchReport:
         contained = witness is not None
     else:
         contained = violator is None
-    count = _count_embeddings(pos_masks, seq_masks, first, last)
-    return MatchReport(contained, witness, violator, count)
+    return MatchReport(
+        contained, witness, violator, _placements=(pos_masks, seq_masks, first, last)
+    )
 
 
 def is_contained(p: NegPattern, s: Sequence, theta: Theta) -> bool:

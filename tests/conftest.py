@@ -1,6 +1,6 @@
 import pytest
 
-from negseq import THETAS, Dictionary, theta_bits
+from negseq import THETAS, Dictionary, NegMode, NegPattern, Negative, theta_bits
 from negseq.textio import parse_database
 
 # Non-inclusion comparison dataset: five sequences, each containing exactly
@@ -81,3 +81,12 @@ def pairwise_masks(patterns, sequences):
                     row[t] |= 1 << j
         rows.append(row)
     return rows
+
+
+def with_random_modes(rng, p):
+    """``p`` with each non-empty slot given a random mode, None or a NegMode."""
+    modes = (None, *NegMode)
+    return NegPattern(
+        p.positives,
+        tuple(Negative(negative.itemset, rng.choice(modes)) for negative in p.negatives),
+    )

@@ -17,12 +17,13 @@ from negseq import (
     Theta,
     contains,
     load_database,
+    matching,
     parse_pattern,
     positive_embeddings,
     positive_part,
 )
 from negseq.cli import run
-from negseq.model import RESERVED_CHARS, Dictionary, NegMode, NegPattern, Negative
+from negseq.model import RESERVED_CHARS, Dictionary
 from negseq.orders import (
     AntiMonotonicityCheck,
     AntiMonotonicityReport,
@@ -43,7 +44,7 @@ from negseq.textio import (
     render_pattern,
     render_sequence,
 )
-from conftest import ABSENCE_TEXT, FIG1_TEXT, TABLE1_TEXT
+from conftest import ABSENCE_TEXT, FIG1_TEXT, TABLE1_TEXT, with_random_modes
 
 
 @pytest.fixture
@@ -200,6 +201,22 @@ class TestMatchCommand:
         assert code == 0
         assert out.strip().splitlines()[1] == "1,false,no-positive-embedding"
 
+    def test_explain_counts_no_placements(self, capsys, monkeypatch, table1_path):
+        # The detail cells come from the witness and the violator alone.
+        def count(*args):
+            raise AssertionError("match --explain counted the placements")
+
+        monkeypatch.setattr(matching, "_count_embeddings", count)
+        details = []
+        for pattern in ("<b !(c d) a>", "<d a>"):
+            code, out, err = invoke(
+                capsys, "match", "--db", table1_path,
+                "--pattern", pattern, "--theta", "strong-strict-total", "--explain",
+            )
+            assert (code, err) == (0, "")
+            details += [row.split(",")[2].split("=")[0] for row in out.splitlines()[1:]]
+        assert set(details) == {"witness", "violator", "no-positive-embedding"}
+
     def test_first_violator_beyond_a_million_embeddings(self, capsys, tmp_path):
         # Over 10^6 placements that pass come before the first violator, and
         # the exact count is C(65, 6): neither an enumeration cap nor a walk
@@ -253,7 +270,6 @@ class TestMatchCommand:
         assert (code, out, err) == (0, f"seq,contained\n1,{contained}\n", "")
 
 
-
 # --- match --explain against the enumeration oracle ---------------------------
 
 
@@ -264,12 +280,9 @@ def test_explain_cells_agree_with_the_oracle(seed):
     # placement of the positives and others hold several.
     rng = random.Random(seed)
     names = Dictionary("abc")
-    p = random_pattern(rng, alphabet=3, max_positives=4, max_itemset_size=2, max_neg_size=2)
-    modes = (None, *NegMode)
-    p = NegPattern(
-        p.positives,
-        tuple(Negative(n.itemset, rng.choice(modes)) for n in p.negatives),
-    )
+    p = with_random_modes(rng, random_pattern(
+        rng, alphabet=3, max_positives=4, max_itemset_size=2, max_neg_size=2
+    ))
     lines = [
         render_sequence(random_sequence(rng, alphabet=3, max_len=8, max_itemset_size=2), names)
         for _ in range(1 + rng.randrange(6))
@@ -644,7 +657,6 @@ class TestDeterminism:
         _, out2, err2 = invoke(capsys, *args)
         assert out1 == out2
         assert err1 == err2
-
 
 
 class TestRepeatedRuns:

@@ -33,7 +33,7 @@ from negseq import (
 from negseq.matching import _decide, theta_masks, weak_strong_support
 from negseq.orders import random_pattern, random_sequence
 from negseq.textio import parse_pattern, parse_sequence
-from conftest import pairwise_masks, sequence_rows
+from conftest import pairwise_masks, sequence_rows, with_random_modes
 
 SOFT, STRICT = EmbeddingKind.SOFT, EmbeddingKind.STRICT
 PARTIAL, TOTAL = NonInclusion.PARTIAL, NonInclusion.TOTAL
@@ -270,15 +270,6 @@ def test_singleton_negatives_collapse_soft_strict(data):
     for occurrence in Occurrence:
         group = sum(1 << t.index for t in THETAS if t.occurrence is occurrence)
         assert bits & group in (0, group)
-
-
-def with_random_modes(rng, p):
-    """``p`` with each non-empty slot given a random mode, None or a NegMode."""
-    modes = (None, *NegMode)
-    return NegPattern(
-        p.positives,
-        tuple(Negative(negative.itemset, rng.choice(modes)) for negative in p.negatives),
-    )
 
 
 def long_pair(rng):
