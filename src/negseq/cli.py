@@ -4,31 +4,30 @@ Subcommands: match, support, mine, verify, report. All results go to stdout,
 diagnostics to stderr; output is byte-identical across runs for identical
 inputs. Exit codes: 0 success, 1 a verification suite found a violation,
 2 usage or parse errors.
+
+``match``, ``support`` and ``report`` need only ``textio``, ``matching`` and
+``model``, so only those load with this module. The miner (``mining``) and
+the verification harness (``orders``) load when ``mine`` or ``verify`` first
+runs, and the handler then binds the names listed in ``_DEFERRED`` as globals
+of this module. They stay module globals, not handler locals, because the
+bench tracer replaces them by name (``cli.mine_pruned``), possibly before any
+handler has run: reading such a name loads its module, and ``_need`` never
+rebinds a name already bound. A stats channel that the handlers report to
+would let the tracer's patches, and this table, go.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import sys
 
 from .matching import all_theta_supports, contains, support, theta_bits
-from .mining import PatternBounds, mine_bruteforce, mine_pruned
 from .model import (
     NegseqError,
     Theta,
     THETAS,
-)
-from .orders import (
-    Counterexample,
-    Dominance,
-    SpaceBounds,
-    default_space,
-    known_dominance,
-    verify_anti_monotonicity,
-    verify_dominance,
-    verify_equivalence,
-    verify_invariants,
 )
 from .textio import (
     aligned_rows,
@@ -39,6 +38,39 @@ from .textio import (
     render_pattern,
     render_sequence,
 )
+
+# The names of a submodule that only some subcommands need, bound by _need.
+_DEFERRED = {
+    "mining": ("PatternBounds", "mine_bruteforce", "mine_pruned"),
+    "orders": (
+        "Counterexample",
+        "Dominance",
+        "SpaceBounds",
+        "default_space",
+        "known_dominance",
+        "verify_anti_monotonicity",
+        "verify_dominance",
+        "verify_equivalence",
+        "verify_invariants",
+    ),
+}
+
+
+def _need(module: str) -> None:
+    """Import ``module`` and bind its deferred names here, except those
+    already bound."""
+    loaded = importlib.import_module(f"{__package__}.{module}")
+    for name in _DEFERRED[module]:
+        globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _need(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Containment relations used by the published mining tools.
 TOOL_THETAS = {
@@ -181,6 +213,7 @@ def _cmd_support(args) -> int:
 
 
 def _cmd_mine(args) -> int:
+    _need("mining")
     db = load_database(args.db, args.db_format)
     theta = Theta.parse(args.theta)
     bounds = PatternBounds.for_dictionary(
@@ -280,6 +313,7 @@ def _scan_rows(suite: str, space) -> tuple[list[str], str, list[tuple[list, str,
 
 
 def _cmd_verify(args) -> int:
+    _need("orders")
     bounds = _space_bounds(args)
     as_csv = args.format == "csv"
     if args.suite == "equivalence":

@@ -44,7 +44,6 @@ from .matching import (
     theta_bits,
     theta_masks,
 )
-from .mining import PatternBounds, cuts_negatives, enumerate_patterns
 from .textio import parse_pattern, parse_sequence
 
 
@@ -442,6 +441,9 @@ def default_space(
     """The default finite space: the known witnesses first, then a systematic
     filler within ``bounds``. With ``singleton_negatives`` every pattern whose
     negatives exceed one item is dropped (the witnesses included)."""
+    # The miner's pattern walk loads here, so the lemma suite never loads it.
+    from .mining import PatternBounds, enumerate_patterns
+
     dictionary = Dictionary("abcdef")
     alphabet = tuple(range(bounds.alphabet))
 
@@ -583,6 +585,8 @@ def _expected_anti_monotone(order: OrderKind, theta: Theta) -> bool:
     # the miner cuts negatives; nothing is anti-monotonic under general
     # inclusion; prefix inclusion preserves weak-total containment only.
     if order is OrderKind.NEG_EXT:
+        from .mining import cuts_negatives
+
         return cuts_negatives(theta)
     if order is OrderKind.EMBED_INCL or theta.non_inclusion is NonInclusion.PARTIAL:
         return False

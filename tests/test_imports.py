@@ -192,3 +192,50 @@ def test_patched_cli_names_are_the_ones_called():
     # as a violation, by design.
     assert result["codes"] == [0, 0, 0, 0, 0, 1]
     assert all(result["calls"][name] >= 1 for name in PATCH_POINTS), result["calls"]
+
+
+_LOADED_SCRIPT = """
+import contextlib, io, json, sys
+import negseq.cli
+
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        negseq.cli.run(argv)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("negseq."))))
+"""
+
+
+def loaded_modules(*argv: str) -> set[str]:
+    """The negseq submodules loaded by a fresh process that imports the CLI
+    and runs ``argv`` once (none when it is empty)."""
+    loaded = json.loads(in_fresh_process(_LOADED_SCRIPT, json.dumps(argv)))
+    return {name.removeprefix("negseq.") for name in loaded}
+
+
+class TestModulesLoaded:
+    # A process loads only what its subcommand needs.
+    def test_importing_the_cli(self):
+        assert loaded_modules() == {"cli", "matching", "model", "textio"}
+
+    def test_match_support_and_report(self):
+        for argv in (
+            ("match", "--db", MINE_SMALL, "--pattern", "<a !b d>", "--theta",
+             "weak-strict-total", "--explain"),
+            ("support", "--db", MINE_SMALL, "--pattern", "<a !b d>", "--all-thetas"),
+            ("report", "--db", MINE_SMALL, "--pattern", "<a !b d>"),
+        ):
+            loaded = loaded_modules(*argv)
+            assert not {"orders", "mining"} & loaded, (argv[0], loaded)
+
+    def test_mine(self):
+        loaded = loaded_modules(
+            "mine", "--db", MINE_SMALL, "--theta", "weak-strict-total", "--minsup", "6"
+        )
+        assert "mining" in loaded and "orders" not in loaded
+
+    def test_verify_lemmas(self):
+        # The other suites scan the default space, which the miner's pattern
+        # walk enumerates, so they load mining too.
+        loaded = loaded_modules("verify", "--suite", "lemmas", "--draws", "50")
+        assert "orders" in loaded and "mining" not in loaded
