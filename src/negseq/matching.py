@@ -4,16 +4,17 @@ Builds up from itemset non-inclusion through soft/strict embeddings and
 weak/strong occurrence to support counting. All functions are pure.
 
 Two engines decide containment. The per-sequence core decides one pattern
-in one sequence; :func:`contains` (with witness and violator, and a count
-of the placements made only when it is read), :func:`is_contained`,
-:func:`support`, :func:`theta_bits`, :func:`all_theta_supports` and the
-bruteforce miner use it. The vertical engine, ``_Layout``, decides patterns
-against a list of sequences laid out as one bit string: :func:`theta_masks`
-builds ``orders.ContainmentGrid``, the verification grid, with it,
-``mining.mine_pruned`` counts every candidate on one layout of the database,
-and the tests check it against the core. Its strong containment is the
-sequences that contain the positive part minus those where some placement
-fails a slot, each found by one forward pass.
+in one sequence, each relation from its own slot test; :func:`contains`
+(with witness and violator, and a count of the placements made only when
+it is read), :func:`is_contained`, :func:`support`, :func:`theta_bits`,
+:func:`all_theta_supports` and the bruteforce miner use it. The vertical
+engine, ``_Layout``, decides patterns against a list of sequences laid out
+as one bit string: :func:`theta_masks` builds ``orders.ContainmentGrid``,
+the verification grid, with it, ``mining.mine_pruned`` counts every
+candidate on one layout of the database, and the tests check it against
+the core. Its strong containment is the sequences that contain the
+positive part minus those where some placement fails a slot, each found by
+one forward pass.
 
 Every relation quantifies over all placements of the positives, of which
 there can be exponentially many. No decision enumerates them: one containment
@@ -169,10 +170,6 @@ _COMBO_TEST = (1, 2, 4, 4)
 # The three slot tests: strict-partial, soft-partial and total.
 _TESTS = (1, 2, 4)
 
-# The tests, strongest first, each with the combos (as bits of COMBOS order)
-# that a gap passing it passes: it passes every test after it as well.
-_STRONGEST_FIRST = ((4, 0b1111), (1, 0b0011), (2, 0b0010))
-
 
 def _ruled_out(qmask: int, test: int, smask: int) -> int:
     """The items of ``qmask`` that gap itemset ``smask`` rules out under
@@ -186,34 +183,22 @@ def _ruled_out(qmask: int, test: int, smask: int) -> int:
     return qmask if qmask & smask else 0
 
 
-def _gap_fails(qmask: int, test: int, gaps: tuple[int, ...]) -> bool:
-    """Do the gap itemsets rule out all of ``qmask`` under ``test``? The
-    union holds all of it (strict-partial), one itemset does (soft-partial),
-    or one itemset meets it (total)."""
-    if test == 1:
-        return not qmask & ~reduce(or_, gaps, 0)
-    if test == 2:
-        for g in gaps:
-            if not qmask & ~g:
-                return True
-        return False
-    for g in gaps:
-        if qmask & g:
-            return True
-    return False
-
-
-def _slot_pass4(qmask: int, mode: NegMode | None, gaps: tuple[int, ...]) -> int:
-    """4-bit outcome of one negative slot, bit c for the combo COMBOS[c].
-
-    A slot with a pinned mode passes for all four combos or for none.
-    """
-    if mode is not None:
-        return 0 if _gap_fails(qmask, _MODE_TEST[mode], gaps) else 0b1111
-    for test, combos in _STRONGEST_FIRST:
-        if not _gap_fails(qmask, test, gaps):
-            return combos
-    return 0
+def _passes(
+    p: NegPattern, test: int, seq_masks: tuple[int, ...], lo: list[int], hi: list[int]
+) -> bool:
+    """Does every constrained slot i of ``p`` pass on the gap from ``lo[i]``
+    to ``hi[i + 1]`` (0-based, exclusive)? Each slot applies ``test``, or
+    its pinned mode's own. With ``lo`` and ``hi`` both one placement this
+    checks that placement; with the earliest and latest ones, the widest
+    gaps."""
+    for i, qmask, mode in p.constrained_slots:
+        slot_test = _MODE_TEST[mode] if mode else test
+        covered = 0
+        for smask in seq_masks[lo[i] + 1 : hi[i + 1]]:
+            covered |= _ruled_out(qmask, slot_test, smask)
+            if covered == qmask:
+                return False
+    return True
 
 
 def _require_positive_embedding(
@@ -255,24 +240,9 @@ def check_embedding(
     """
     seq_masks = s.masks
     _require_positive_embedding(e, p, seq_masks)
-    combo = COMBOS.index((embedding, nonincl))
+    test = _COMBO_TEST[COMBOS.index((embedding, nonincl))]
     index = [position - 1 for position in e]
-    return _embedding_pass4(p.constrained_slots, seq_masks, index) >> combo & 1 == 1
-
-
-def _embedding_pass4(
-    slots: tuple[tuple[int, int, NegMode | None], ...],
-    seq_masks: tuple[int, ...],
-    index: list[int],
-) -> int:
-    """4-bit outcome of every constrained slot for one embedding, given as
-    0-based itemset indices."""
-    passed = 0b1111
-    for i, qmask, mode in slots:
-        passed &= _slot_pass4(qmask, mode, seq_masks[index[i] + 1 : index[i + 1]])
-        if not passed:
-            break
-    return passed
+    return _passes(p, test, seq_masks, index, index)
 
 
 # --- the linear-time core ---------------------------------------------------
@@ -422,51 +392,48 @@ def _first_failing(
 
 
 # Relation bit t is THETAS[t]: strong occurrence under COMBOS[c] is bit 2c,
-# weak is bit 2c+1. _SPREAD maps a 4-bit combo set to its strong bits.
-_SPREAD = tuple(sum(1 << 2 * c for c in range(4) if x >> c & 1) for x in range(16))
-_COMBO_SET = {bits: x for x, bits in enumerate(_SPREAD)}
-_STRONG_BITS = _SPREAD[0b1111]
+# weak is bit 2c+1. _TEST_BITS holds, per slot test, the strong bits of the
+# combos that apply it.
+_TEST_BITS = {
+    test: sum(1 << 2 * c for c, t in enumerate(_COMBO_TEST) if t == test)
+    for test in _TESTS
+}
 _ALL_BITS = (1 << len(THETAS)) - 1
-
-# The weak passes, weakest test first, with the combos each one decides. An
-# embedding that passes a test passes every test before it.
-_WEAK_PASSES = ((2, 0b0010), (1, 0b0001), (4, 0b1100))
 
 
 def _decide(p: NegPattern, seq_masks: tuple[int, ...], wanted: int) -> int:
-    """Containment under each relation whose bit is set in ``wanted``.
+    """Containment under each relation whose bit is set in ``wanted``, each
+    decided from its own slot test.
 
     Strong: every embedding passes a slot iff the widest gap any embedding
     gives it passes, from the earliest placement of the positive before the
-    slot to the latest placement of the one after. Weak: the lexicographically
-    first embedding settles the combos it passes; each remaining test gets
-    one backward feasibility pass. Returns the relation bits, 0 outside
+    slot to the latest placement of the one after. Weak: the
+    lexicographically first embedding passes, or one backward feasibility
+    pass finds an embedding that does. Returns the relation bits, 0 outside
     ``wanted``.
     """
     pos_masks = p.positive_masks
     first = _earliest(pos_masks, seq_masks)
     if first is None:
         return 0
-    slots = p.constrained_slots
-    if not slots:
+    if not p.constrained_slots:
         return wanted
-    strong = _COMBO_SET[wanted & _STRONG_BITS]
-    weak = _COMBO_SET[wanted >> 1 & _STRONG_BITS]
-    found = weak and weak & _embedding_pass4(slots, seq_masks, first)
-    if not strong and found == weak:
-        return _SPREAD[found] << 1
-    last = _latest(pos_masks, seq_masks)
-    for i, qmask, mode in slots:
-        if not strong:
-            break
-        strong &= _slot_pass4(qmask, mode, seq_masks[first[i] + 1 : last[i + 1]])
-    for test, combos in _WEAK_PASSES:
-        if weak & combos & ~found:
+    last = None  # the latest placement, found when a test first needs it
+    bits = 0
+    for test in _TESTS:
+        strong = _TEST_BITS[test] & wanted
+        weak = _TEST_BITS[test] << 1 & wanted
+        if strong:
+            last = last or _latest(pos_masks, seq_masks)
+            if _passes(p, test, seq_masks, first, last):
+                bits |= strong
+        if weak and not _passes(p, test, seq_masks, first, first):
+            last = last or _latest(pos_masks, seq_masks)
             tests = _slot_tests(p, test)
             if _passing_table(pos_masks, tests, seq_masks, first, last) is None:
-                break  # no embedding passes the stronger tests either
-            found |= weak & combos
-    return _SPREAD[strong] | _SPREAD[found] << 1
+                weak = 0
+        bits |= weak
+    return bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -513,10 +480,10 @@ def contains(p: NegPattern, s: Sequence, theta: Theta) -> MatchReport:
     if first is None:
         return MatchReport(False, None, None)
     last = _latest(pos_masks, seq_masks)
-    combo = theta.combo_index
-    tests = _slot_tests(p, _COMBO_TEST[combo])
+    test = _COMBO_TEST[theta.combo_index]
+    tests = _slot_tests(p, test)
     lexfirst = tuple(j + 1 for j in first)
-    if _embedding_pass4(p.constrained_slots, seq_masks, first) >> combo & 1:
+    if _passes(p, test, seq_masks, first, first):
         witness = lexfirst
         violator = _first_failing(pos_masks, tests, seq_masks, first, last)
     else:

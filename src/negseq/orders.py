@@ -714,6 +714,12 @@ def verify_invariants(draws: int = 10000, seed: int = 94001) -> tuple[InvariantC
     total containment implies partial; and the support inequality chain
     across the eight relations, with equality of soft and strict supports
     under total non-inclusion.
+
+    The per-sequence core decides each relation from its own slot test, so
+    these checks test the definitions, not a chain built into the answers.
+    One holds by construction: both total combos apply the same slot test,
+    so "total non-inclusion: soft and strict embeddings coincide" guards
+    only that mapping.
     """
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")

@@ -30,7 +30,7 @@ from negseq import (
     support,
     theta_bits,
 )
-from negseq.matching import _decide, theta_masks, weak_strong_support
+from negseq.matching import _COMBO_TEST, _decide, theta_masks, weak_strong_support
 from negseq.orders import random_pattern, random_sequence
 from negseq.textio import parse_pattern, parse_sequence
 from conftest import pairwise_masks, sequence_rows, with_random_modes
@@ -295,9 +295,18 @@ def test_contains_agrees_with_quantifier_expansion(seed):
         assert contains(p, s, theta).contained == expected
         assert is_contained(p, s, theta) == expected
         assert bool((bits >> theta.index) & 1) == expected
-    # A decision asked for one occurrence only settles every relation it wants.
-    for occurrence in Occurrence:
-        wanted = sum(1 << t.index for t in THETAS if t.occurrence is occurrence)
+    # A decision asked for part of the relations settles exactly what it
+    # wants: one occurrence, one relation, or the relations of one slot test.
+    asked = [
+        sum(1 << t.index for t in THETAS if t.occurrence is occurrence)
+        for occurrence in Occurrence
+    ]
+    asked += [1 << t.index for t in THETAS]
+    asked += [
+        sum(1 << t.index for t in THETAS if _COMBO_TEST[t.combo_index] == test)
+        for test in set(_COMBO_TEST)
+    ]
+    for wanted in asked:
         assert _decide(p, s.masks, wanted) == bits & wanted
 
 

@@ -31,6 +31,7 @@ from negseq import (
     support,
     theta_bits,
 )
+from negseq.matching import _ruled_out
 from negseq.mining import PatternBounds, enumerate_patterns
 from negseq.orders import (
     ContainmentGrid,
@@ -702,3 +703,19 @@ class TestSuites:
             "strong containment implies weak containment": (220, "strong-strict-partial"),
             "containment respects the dominance table": (220, "strong-strict-partial"),
         }
+
+    def test_invariant_harness_sees_a_broken_slot_test(self, monkeypatch):
+        # A strict-partial slot test that never rules out an item lets strict
+        # embeddings through where soft ones fail. Each relation is decided
+        # from its own slot test, so the harness sees the break.
+        monkeypatch.setattr(
+            "negseq.matching._ruled_out",
+            lambda qmask, test, smask: 0 if test == 1 else _ruled_out(qmask, test, smask),
+        )
+        failed = {
+            check.name for check in verify_invariants(draws=2000, seed=3) if not check.ok
+        }
+        assert {
+            "strict embedding implies soft embedding",
+            "containment respects the dominance table",
+        } <= failed
