@@ -12,9 +12,8 @@ engine, ``_Layout``, decides patterns against a list of sequences laid out
 as one bit string: :func:`theta_masks` builds ``orders.ContainmentGrid``,
 the verification grid, with it, ``mining.mine_pruned`` counts every
 candidate on one layout of the database, and the tests check it against
-the core. Its strong containment is the sequences that contain the
-positive part minus those where some placement fails a slot, each found by
-one forward pass.
+the core. Per slot test it runs one weak pass and one failing pass; strong
+containment is the positive part's sequences minus the failing pass's.
 
 Every relation quantifies over all placements of the positives, of which
 there can be exponentially many. No decision enumerates them: one containment
@@ -564,12 +563,13 @@ def all_theta_supports(p: NegPattern, db: SequenceDatabase) -> tuple[int, ...]:
 # Each slot test becomes a set of blocker cells, and a reach pass carries the
 # positives' possible places across a slot with one add-with-carry run fill
 # per blocker set (Allison & Dix, IPL 1986). A pass that reaches the
-# separator at the end of a sequence has found the pattern in it. Each slot
-# of a pass takes any gap, a passing gap or a failing gap. Weak containment
-# is the pass in which every constrained slot passes. Strong containment is
-# ``embedded``, the pass with any gaps, minus the failing passes, in which
-# one constrained slot fails: e-NSP's reduction of negative support to
-# positive containment (Cao, Dong & Zheng, Artificial Intelligence 235, 2016).
+# separator at the end of a sequence has found the pattern in it. Per slot
+# test there is one weak pass and one failing pass. Weak containment is the
+# weak pass, in which every constrained slot takes a passing gap. Strong
+# containment is ``embedded``, the pass with any gaps, minus the failing
+# pass, which carries a second track after the first failed slot: e-NSP's
+# reduction of negative support to positive containment (Cao, Dong & Zheng,
+# Artificial Intelligence 235, 2016).
 
 
 def _flood(seeds: int, free: int) -> int:
@@ -631,37 +631,43 @@ class _Layout:
     def reach(
         self,
         pos_masks: tuple[int, ...],
-        gaps: list[tuple[int, int, bool] | None],
+        slots: list[tuple[int, int] | None],
+        passes: bool = True,
     ) -> int:
         """End separators of the sequences where the positives embed with
-        each slot's gap as ``gaps`` asks: any gap for None, else a gap that
-        passes (``passes`` true) or fails ``test`` on negative ``qmask`` for
-        ``(qmask, test, passes)``.
+        every slot passing (the weak pass), or with some slot failing (the
+        failing pass). ``slots`` is :func:`_slot_tests`'s list.
 
         The cells a pass reaches after a slot are the places of the next
         positive that the gap allows. A passing gap misses some blocker set,
         so it lies in the flood of that set. A failing gap lies in none; it
         is taken from the earliest place of the positive before it, whose
         gaps contain those of every later place, since every slot test is
-        monotone in the gap.
+        monotone in the gap. The failing pass keeps what such gaps reach on
+        a second track, ``failed``, where every later slot takes any gap.
         """
         free = self.free
         reach = self.positive(pos_masks[0])
-        for pmask, gap in zip(pos_masks[1:], gaps):
-            seeds = reach << 1
-            after = _flood(seeds, free)
-            if gap is not None:
-                qmask, test, passes = gap
-                if not passes:
-                    seeds = (reach & ~after) << 1
+        failed = 0
+        for pmask, slot in zip(pos_masks[1:], slots):
+            after = _flood(reach << 1, free)
+            if failed:
+                failed = _flood(failed << 1, free)
+            if slot is not None:
+                seeds = reach << 1 if passes else (reach & ~after) << 1
                 span = 0
-                for unblocked in self.blockers(qmask, test):
+                for unblocked in self.blockers(*slot):
                     span |= _flood(seeds, unblocked)
-                after = span if passes else after & ~span
-            reach = after & self.positive(pmask)
-            if not reach:
+                if passes:
+                    after = span
+                else:
+                    failed |= after & ~span
+            cells = self.positive(pmask)
+            reach = after & cells
+            failed &= cells
+            if not (reach or failed):
                 return 0
-        return _flood(reach << 1, free) & self.sep
+        return _flood((reach if passes else failed) << 1, free) & self.sep
 
 
 def theta_masks(
@@ -675,8 +681,8 @@ def theta_masks(
     The vertical engine: it decides each pattern against all the sequences
     at once, in a few big-int operations per slot and test, and agrees
     with :func:`theta_bits` pair by pair. Per slot test it runs one weak
-    pass and one failing pass per constrained slot. Patterns with the same
-    positives share ``embedded``.
+    pass and one failing pass. Patterns with the same positives share
+    ``embedded``.
     """
     items = 0
     for p in patterns:
@@ -691,34 +697,22 @@ def theta_masks(
     rows = []
     for p in patterns:
         pos_masks = p.positive_masks
-        any_gaps: list[tuple[int, int, bool] | None] = [None] * (len(pos_masks) - 1)
         if pos_masks not in embedded_by:
-            embedded_by[pos_masks] = layout.reach(pos_masks, any_gaps)
+            embedded_by[pos_masks] = layout.reach(pos_masks, [None] * (len(pos_masks) - 1))
         embedded = embedded_by[pos_masks]
         if not embedded or not p.constrained_slots:
             rows.append([shared.setdefault(embedded, embedded)] * len(THETAS))
             continue
-        # The sequences where some placement fails a slot under each test. A
-        # pinned slot fails or passes alike under all three.
-        failing = dict.fromkeys(_TESTS, 0)
-        for i, qmask, mode in p.constrained_slots:
-            gaps = any_gaps.copy()
-            for test in (_MODE_TEST[mode],) if mode else _TESTS:
-                gaps[i] = (qmask, test, False)
-                fails = layout.reach(pos_masks, gaps)
-                for t in _TESTS if mode else (test,):
-                    failing[t] |= fails
-        weak = {
-            test: layout.reach(
-                pos_masks, [slot and (*slot, True) for slot in _slot_tests(p, test)]
-            )
-            for test in _TESTS
-        }
+        masks = {}  # per slot test, the strong and the weak mask
+        for test in _TESTS:
+            slots = _slot_tests(p, test)
+            failing = layout.reach(pos_masks, slots, False)
+            masks[test] = (embedded & ~failing, layout.reach(pos_masks, slots))
         rows.append(
             [
                 shared.setdefault(marks, marks)
                 for test in _COMBO_TEST
-                for marks in (embedded & ~failing[test], weak[test])
+                for marks in masks[test]
             ]
         )
     return rows, {cell: j for j, cell in enumerate(layout.ends)}

@@ -12,13 +12,12 @@ the sequences, with one row of cells per item (see ``matching._Layout``).
   ``after & cells[x]``, where ``after`` floods R one cell on to the end of
   each sequence. The node's ``embedded``, the end separators in ``after``, is
   its set of containing sequences, and its support is their number.
-- A negative node takes one reach pass on the layout. Weak: every constrained
-  slot takes a gap that passes the relation's slot test. Strong: ``embedded``
-  minus the sequences where some placement fails a slot, one failing pass
-  per slot, which is e-NSP's reduction of negative support to positive
-  containment (Cao, Dong & Zheng, Artificial Intelligence 235, 2016). The
-  negatives grow slot by slot, so a node inherits the failing passes of the
-  slots before its last one.
+- A negative node takes one reach pass on the layout for the relation's
+  slot test. Weak: the weak pass, where every constrained slot passes.
+  Strong: ``embedded`` minus the failing pass, which carries a second track
+  after the first failed slot; this is e-NSP's reduction of negative support
+  to positive containment (Cao, Dong & Zheng, Artificial Intelligence 235,
+  2016).
 
 The walk works on the itemsets' masks, and builds a pattern object only for
 a frequent node. Every relation needs the positive part to embed, and every
@@ -239,22 +238,12 @@ def mine_pruned(
         last_slot: int,
         last_item: int,
         embedded: int,
-        before: int,
     ) -> None:
-        # embedded: the positive part's sequences, as end separators. before:
-        # under strong occurrence, those where some placement fails a slot
-        # before last_slot; the slots after it are empty.
+        # embedded: the positive part's sequences, as end separators.
         nonlocal candidates, pruned
         candidates += 1
-        if strong:
-            gaps: list[tuple[int, int, bool] | None] = [None] * len(neg)
-            gaps[last_slot] = (neg[last_slot], test, False)
-            failing = before | layout.reach(pos, gaps)
-            count = (embedded & ~failing).bit_count()
-        else:
-            failing = 0
-            gaps = [(q, test, True) if q else None for q in neg]
-            count = layout.reach(pos, gaps).bit_count()
+        found = layout.reach(pos, [(q, test) if q else None for q in neg], not strong)
+        count = (embedded & ~found if strong else found).bit_count()
         if count >= minsup:
             frequent.append((_pattern(positives, neg), count))
         elif cut_negatives:
@@ -262,10 +251,7 @@ def mine_pruned(
                 pruned += 1
             return
         for child, slot, item in _negative_children(neg, bounds, last_slot, last_item):
-            visit_negative(
-                pos, positives, child, slot, item, embedded,
-                before if slot == last_slot else failing,
-            )
+            visit_negative(pos, positives, child, slot, item, embedded)
 
     def visit_positive(pos: tuple[int, ...], reach: int) -> None:
         # reach: the cells where the last positive can sit.
@@ -284,7 +270,7 @@ def mine_pruned(
         for child, item, appended in _positive_children(pos, bounds):
             visit_positive(child, (after if appended else reach) & cells[item])
         for child, slot, item in _negative_children((0,) * (len(pos) - 1), bounds, -1, -1):
-            visit_negative(pos, positives, child, slot, item, embedded, 0)
+            visit_negative(pos, positives, child, slot, item, embedded)
 
     for item in bounds.alphabet:
         visit_positive((1 << item,), cells[item])

@@ -1,0 +1,169 @@
+"""A catalogue of mutants of ``src/`` and the tests that must kill them.
+
+    python tests/mutants.py [NAME ...]
+
+Run from anywhere; with names, only those mutants run. Each mutant replaces
+one exact piece of text, which must occur exactly once in its file, in a
+temporary copy of ``src/``. The runner then runs the mutant's tests with
+that copy first on PYTHONPATH. A mutant is killed when every test it names
+fails; otherwise it survives. The runner first checks that the named tests
+pass on the unmutated tree, lists the survivors, and exits 1 if any mutant
+survives.
+
+Pytest does not collect this file, as its name does not start with
+``test_``. Name only tests that import ``negseq`` in process: a test that
+starts a subprocess with its own PYTHONPATH never sees the mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repo root
+
+
+MUTANTS = (
+    Mutant(
+        "failing-track-dropped",
+        # The failing pass forgets, at an unconstrained slot, the places it
+        # reached after an earlier slot failed.
+        "negseq/matching.py",
+        "            if failed:\n"
+        "                failed = _flood(failed << 1, free)\n",
+        "            if slot is None:\n"
+        "                failed = 0\n"
+        "            elif failed:\n"
+        "                failed = _flood(failed << 1, free)\n",
+        (
+            "tests/test_matching.py::TestVerticalEdgeCases"
+            "::test_failure_carried_across_an_unconstrained_slot",
+            "tests/test_matching.py::test_vertical_engine_agrees_with_theta_bits",
+            "tests/test_mining.py::TestPruned::test_three_step_patterns_and_strong_occurrence",
+            "tests/test_orders.py::TestDominanceScan::test_grid_masks_equal_pairwise_theta_bits",
+            "tests/test_cli.py::test_verify_output_matches_golden[dominance-extra0-text]",
+        ),
+    ),
+    Mutant(
+        "failing-gap-from-every-place",
+        # The failing gap is seeded from every place of the positive before
+        # the slot, not only from its earliest, so a later place's passing
+        # gap counts as failing.
+        "negseq/matching.py",
+        "                seeds = reach << 1 if passes else (reach & ~after) << 1\n",
+        "                seeds = reach << 1\n",
+        (
+            "tests/test_matching.py::TestVerticalEdgeCases::test_failing_gap_from_an_earlier_place",
+            "tests/test_matching.py::test_vertical_engine_agrees_with_theta_bits",
+            "tests/test_mining.py::TestPruned"
+            "::test_agrees_with_bruteforce_on_random_instances[strong-strict-partial]",
+            "tests/test_cli.py::test_mine_output_matches_golden[small-bounds0-8-strong-strict-total]",
+        ),
+    ),
+    Mutant(
+        "strict-partial-rules-out-nothing",
+        # The strict-partial slot test never rules out an item, so no gap
+        # fails it.
+        "negseq/matching.py",
+        "    if test == 1:\n        return qmask & smask\n",
+        "    if test == 1:\n        return 0\n",
+        (
+            # The lemma suite, as ``verify --suite lemmas`` runs it.
+            "tests/test_orders.py::TestSuites::test_invariant_harness",
+            "tests/test_matching.py::test_contains_agrees_with_quantifier_expansion",
+            "tests/test_matching.py::test_vertical_engine_agrees_with_theta_bits",
+            "tests/test_mining.py::TestPruned"
+            "::test_agrees_with_bruteforce_on_random_instances[weak-strict-partial]",
+        ),
+    ),
+)
+
+
+def _pytest(src: Path, tests: list[str]) -> tuple[set[str], set[str]]:
+    """The node ids that pytest reports as passed and as failed, running
+    ``tests`` with ``src`` first on PYTHONPATH."""
+    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "PYTHONDONTWRITEBYTECODE": "1"}
+    where = subprocess.run(
+        [sys.executable, "-c", "import negseq; print(negseq.__file__)"],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if not Path(where).is_relative_to(src):
+        sys.exit(f"negseq imports from {where}, not from {src}")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *tests],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    outcomes: dict[str, set[str]] = {"PASSED": set(), "FAILED": set(), "ERROR": set()}
+    for line in result.stdout.splitlines():
+        word, _, rest = line.partition(" ")
+        if word in outcomes and rest:
+            outcomes[word].add(rest.split(" - ")[0])
+    return outcomes["PASSED"], outcomes["FAILED"] | outcomes["ERROR"]
+
+
+def _covers(test: str, ids: set[str]) -> bool:
+    """Does a reported node id belong to ``test``: the test itself, one of
+    its parametrized cases, or the file or class that holds it?"""
+    return any(
+        i == test or i.startswith((test + "[", test + "::")) or test.startswith(i + "::")
+        for i in ids
+    )
+
+
+def survivors(mutant: Mutant) -> list[str]:
+    """The tests that ``mutant`` names and that do not fail under it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        target = src / mutant.path
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            sys.exit(f"{mutant.name}: the old text occurs {text.count(mutant.old)} times")
+        target.write_text(text.replace(mutant.old, mutant.new))
+        _, failed = _pytest(src, list(mutant.tests))
+    return [test for test in mutant.tests if not _covers(test, failed)]
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        sys.exit(f"unknown mutants: {', '.join(sorted(unknown))}")
+    tests = sorted({test for m in chosen for test in m.tests})
+    passed, failed = _pytest(SRC, tests)
+    broken = [t for t in tests if _covers(t, failed) or not _covers(t, passed)]
+    if broken:
+        print("the unmutated tree does not pass:", *broken, sep="\n  ")
+        return 1
+    alive = []
+    for mutant in chosen:
+        left = survivors(mutant) if mutant.tests else ["(no tests named)"]
+        print(f"{mutant.name}: {'survived' if left else 'killed'}")
+        for test in left:
+            print(f"  passes: {test}")
+        if left:
+            alive.append(mutant.name)
+    print(f"{len(chosen) - len(alive)} of {len(chosen)} mutants killed")
+    if alive:
+        print("survivors:", *alive, sep="\n  ")
+    return 1 if alive else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -610,3 +610,11 @@ class TestVerticalEdgeCases:
         sequences = [parse_sequence("a c a b", abc_dict)]
         p = parse_pattern("<a !c b>", abc_dict)
         assert vertical_rows([p], sequences) == [[0, 1] * 4]
+
+    def test_failure_carried_across_an_unconstrained_slot(self, abc_dict):
+        # In the first sequence the a before c fails the first slot, and the
+        # failing pass must carry that over the free slot to d: weak but not
+        # strong. In the second no placement fails.
+        sequences = [parse_sequence(text, abc_dict) for text in ("a c a b d", "a b c d")]
+        p = parse_pattern("<a !c b d>", abc_dict)
+        assert vertical_rows([p], sequences) == [[0b10, 0b11] * 4]
