@@ -248,9 +248,9 @@ def check_embedding(
 #
 # Every slot test is monotone in the gap: a gap that fails a slot makes every
 # gap that contains it fail too. So no decision needs the embeddings one by
-# one. With k positives and n itemsets, each pass below is O(k*n) mask
-# operations, and positive i only ever sits between first[i] and last[i], the
-# 0-based indices of the greedy earliest and latest placements.
+# one. With k positives and n itemsets, each search below is one function of
+# O(k*n) mask operations, and positive i only ever sits between first[i] and
+# last[i], the 0-based indices of the greedy earliest and latest placements.
 
 
 def _earliest(
@@ -293,24 +293,26 @@ def _slot_tests(p: NegPattern, test: int) -> list[tuple[int, int] | None]:
     return tests
 
 
-def _passing_table(
+def _first_passing(
     pos_masks: tuple[int, ...],
     tests: list[tuple[int, int] | None],
     seq_masks: tuple[int, ...],
     first: list[int],
     last: list[int],
-) -> list[list[int]] | None:
-    """Per positive, the ascending indices where it can sit and still
-    complete to a placement of itself and the positives after it whose slots
-    all pass; None when the first positive has none, that is, when no
-    embedding passes.
+) -> Embedding | None:
+    """The lexicographically first embedding whose slots all pass, or None.
 
-    Built backward, one level per positive. An index needs only the earliest
-    entry of the next level after it, because that gives the shortest gap.
+    One backward pass builds a level per positive: the ascending indices
+    where it can sit and still complete to a placement of itself and the
+    positives after it whose slots all pass. An index needs only the
+    earliest entry of the next level after it, as that gives the shortest
+    gap. No embedding passes iff a level is empty; else each positive takes
+    the earliest entry of its level after the one before, which passes the
+    slot between them by construction.
     """
     pmask = pos_masks[-1]
     level = [j for j in range(first[-1], last[-1] + 1) if not pmask & ~seq_masks[j]]
-    table = [level]
+    levels = [level]
     for i in range(len(pos_masks) - 2, -1, -1):
         pmask = pos_masks[i]
         if tests[i] is None:
@@ -331,29 +333,12 @@ def _passing_table(
             found.reverse()
         if not found:
             return None
-        table.append(found)
+        levels.append(found)
         level = found
-    table.reverse()
-    return table
-
-
-def _first_passing(
-    pos_masks: tuple[int, ...],
-    tests: list[tuple[int, int] | None],
-    seq_masks: tuple[int, ...],
-    first: list[int],
-    last: list[int],
-) -> Embedding | None:
-    """The lexicographically first embedding whose slots all pass, if any."""
-    table = _passing_table(pos_masks, tests, seq_masks, first, last)
-    if table is None:
-        return None
-    # The earliest entry of the next level after a table entry always passes
-    # the slot between them: that is how the entry got into the table.
-    index = [table[0][0]]
-    for level in table[1:]:
+    index = [level[0]]
+    for level in levels[-2::-1]:
         index.append(level[bisect_right(level, index[-1])])
-    return tuple(j + 1 for j in index)
+    return tuple([j + 1 for j in index])
 
 
 def _first_failing(
@@ -368,25 +353,24 @@ def _first_failing(
 
     Some placement fails slot i iff its widest gap fails, the one from
     ``first[i]`` to ``last[i + 1]``, since every slot test is monotone in the
-    gap. The first placement that fails slot i then keeps ``first[:i + 1]``,
-    puts positive i + 1 at the first index j up to ``last[i + 1]`` that holds
-    it and whose gap from ``first[i]`` fails, and places the rest greedily
-    from j on. As ``first`` passes slot i, j > ``first[i + 1]``: a later slot
-    that can fail keeps ``first[i + 1]`` and so gives an earlier placement.
-    The violator therefore comes from the last slot that can fail.
+    gap. One forward scan from ``first[i]`` finds the first index j before
+    ``last[i + 1]`` where the gap from ``first[i]`` through j fails. The
+    first placement that fails slot i keeps ``first[:i + 1]`` and places the
+    rest greedily after j, which succeeds as ``last[i + 1]`` > j. As
+    ``first`` passes slot i, j >= ``first[i + 1]``: a later slot that can
+    fail keeps ``first[i + 1]`` and so gives an earlier placement. The
+    violator therefore comes from the last slot that can fail.
     """
     for i in range(len(tests) - 1, -1, -1):
         if tests[i] is None:
             continue
         qmask, test = tests[i]
-        pmask = pos_masks[i + 1]
-        covered = 0  # what the gap from first[i] to j rules out of qmask
-        for j in range(first[i] + 1, last[i + 1] + 1):
-            if covered == qmask and not pmask & ~seq_masks[j]:
-                # The rest embeds from j on, since j <= last[i + 1].
-                rest = _earliest(pos_masks[i + 1 :], seq_masks, j)
-                return tuple(x + 1 for x in first[: i + 1] + rest)
+        covered = 0  # what the gap from first[i] through j rules out of qmask
+        for j in range(first[i] + 1, last[i + 1]):
             covered |= _ruled_out(qmask, test, seq_masks[j])
+            if covered == qmask:
+                rest = _earliest(pos_masks[i + 1 :], seq_masks, j + 1)
+                return tuple(x + 1 for x in first[: i + 1] + rest)
     return None
 
 
@@ -407,8 +391,8 @@ def _decide(p: NegPattern, seq_masks: tuple[int, ...], wanted: int) -> int:
     Strong: every embedding passes a slot iff the widest gap any embedding
     gives it passes, from the earliest placement of the positive before the
     slot to the latest placement of the one after. Weak: the
-    lexicographically first embedding passes, or one backward feasibility
-    pass finds an embedding that does. Returns the relation bits, 0 outside
+    lexicographically first embedding passes, or :func:`_first_passing`'s
+    backward pass finds one that does. Returns the relation bits, 0 outside
     ``wanted``.
     """
     pos_masks = p.positive_masks
@@ -429,7 +413,7 @@ def _decide(p: NegPattern, seq_masks: tuple[int, ...], wanted: int) -> int:
         if weak and not _passes(p, test, seq_masks, first, first):
             last = last or _latest(pos_masks, seq_masks)
             tests = _slot_tests(p, test)
-            if _passing_table(pos_masks, tests, seq_masks, first, last) is None:
+            if _first_passing(pos_masks, tests, seq_masks, first, last) is None:
                 weak = 0
         bits |= weak
     return bits
@@ -586,16 +570,19 @@ class _Layout:
         size = sum(len(s) for s in sequences) + len(sequences) + 1
         # Bit c of a row, little-endian, is cell c.
         rows = {x: bytearray((size + 7) // 8) for x in Itemset(items)}
+        sep = bytearray((size + 7) // 8)
         self.ends = ends = []  # the cell of each sequence's end separator
         cell = 0
         for s in sequences:
             for mask in s.masks:
                 cell += 1
-                for x in Itemset(mask & items):
-                    rows[x][cell >> 3] |= 1 << (cell & 7)
+                if mask & items:
+                    for x in Itemset(mask & items):
+                        rows[x][cell >> 3] |= 1 << (cell & 7)
             cell += 1
             ends.append(cell)
-        self.sep = sum(1 << cell for cell in ends) | 1
+            sep[cell >> 3] |= 1 << (cell & 7)
+        self.sep = int.from_bytes(sep, "little") | 1
         self.free = ((1 << size) - 1) ^ self.sep
         self.cells = {x: int.from_bytes(row, "little") for x, row in rows.items()}
         self._positives: dict[int, int] = {}

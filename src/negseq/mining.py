@@ -138,35 +138,28 @@ def _pattern(positives: tuple[Itemset, ...], neg: tuple[int, ...]) -> NegPattern
 
 def enumerate_patterns(bounds: PatternBounds) -> Iterator[NegPattern]:
     """Every valid pattern within ``bounds``, exactly once, in a fixed order:
-    the canonical construction order that the pruned miner walks as well."""
+    the canonical construction order that the pruned miner walks as well.
+    One recursive walk yields a node, then, while it has no negative, its
+    positive children's subtrees, then its negative children's subtrees."""
 
-    def walk_positive(
-        pos: tuple[int, ...], positives: tuple[Itemset, ...]
+    def walk(
+        pattern: NegPattern, neg: tuple[int, ...], last_slot: int, last_item: int
     ) -> Iterator[NegPattern]:
-        yield NegPattern(positives)
-        for child, _, _ in _positive_children(pos, bounds):
-            yield from walk_positive(
-                child, positives[: len(child) - 1] + (Itemset(child[-1]),)
-            )
-        slots = len(pos) - 1
-        yield from walk_negative(positives, (0,) * slots, (NO_NEGATIVE,) * slots, -1, -1)
-
-    def walk_negative(
-        positives: tuple[Itemset, ...],
-        neg: tuple[int, ...],
-        negatives: tuple[Negative, ...],
-        last_slot: int,
-        last_item: int,
-    ) -> Iterator[NegPattern]:
+        yield pattern
+        positives, negatives = pattern.positives, pattern.negatives
+        if last_slot < 0:
+            for child, _, _ in _positive_children(pattern.positive_masks, bounds):
+                slots = len(child) - 1
+                grown = NegPattern(positives[:slots] + (Itemset(child[-1]),))
+                yield from walk(grown, (0,) * slots, -1, -1)
         for child, slot, item in _negative_children(neg, bounds, last_slot, last_item):
             grown = (
                 negatives[:slot] + (Negative(Itemset(child[slot])),) + negatives[slot + 1 :]
             )
-            yield NegPattern(positives, grown)
-            yield from walk_negative(positives, child, grown, slot, item)
+            yield from walk(NegPattern(positives, grown), child, slot, item)
 
     for item in bounds.alphabet:
-        yield from walk_positive((1 << item,), (Itemset(1 << item),))
+        yield from walk(NegPattern((Itemset(1 << item),)), (), -1, -1)
 
 
 @dataclass(frozen=True, slots=True)

@@ -91,6 +91,96 @@ MUTANTS = (
             "::test_agrees_with_bruteforce_on_random_instances[weak-strict-partial]",
         ),
     ),
+    Mutant(
+        "witness-reuses-an-index",
+        # The witness takes the next positive's entry at the index of the one
+        # before, when its level holds that index, so two positives share it.
+        "negseq/matching.py",
+        "        index.append(level[bisect_right(level, index[-1])])\n",
+        "        from bisect import bisect_left\n\n"
+        "        index.append(level[bisect_left(level, index[-1])])\n",
+        (
+            "tests/test_matching.py::TestContains::test_witness_moves_past_a_shared_index",
+        ),
+    ),
+    Mutant(
+        "violator-from-the-failing-index",
+        # The violator may put the next positive at the index whose itemset
+        # made the gap fail, which leaves that itemset out of the gap.
+        "negseq/matching.py",
+        "_earliest(pos_masks[i + 1 :], seq_masks, j + 1)",
+        "_earliest(pos_masks[i + 1 :], seq_masks, j)",
+        (
+            "tests/test_matching.py::TestContains"
+            "::test_violator_puts_the_failing_itemset_into_the_gap",
+        ),
+    ),
+    Mutant(
+        "enumerator-grows-positives-under-negatives",
+        # The enumerator grows the positives of a node that has a negative,
+        # which yields negative-free patterns twice.
+        "negseq/mining.py",
+        "        if last_slot < 0:\n",
+        "        if True:\n",
+        (
+            "tests/test_mining.py::TestEnumeration::test_count_matches_closed_form",
+            "tests/test_mining.py::TestEnumeration::test_exactly_once_and_valid",
+            "tests/test_mining.py::TestPruned"
+            "::test_agrees_with_bruteforce_on_random_instances[weak-strict-total]",
+        ),
+    ),
+    Mutant(
+        "flood-drops-its-seeds",
+        # A flood no longer keeps its seeds, so a seed on a blocked cell
+        # reaches nothing.
+        "negseq/matching.py",
+        "    return (((seeds & free) + free) ^ free) | seeds\n",
+        "    return ((seeds & free) + free) ^ free\n",
+        (
+            "tests/test_matching.py::TestVerticalEdgeCases::test_one_positive",
+            "tests/test_matching.py::test_vertical_engine_agrees_with_theta_bits",
+            "tests/test_mining.py::TestPruned::test_infrequent_prefix_cuts_subtree",
+            "tests/test_orders.py::TestSuites::test_dominance_suite_is_clean",
+        ),
+    ),
+    Mutant(
+        "partial-modes-swapped",
+        # A pinned strict-partial slot tests as soft-partial and the other
+        # way round.
+        "negseq/matching.py",
+        "_MODE_TEST = {NegMode.STRICT_PARTIAL: 1, NegMode.SOFT_PARTIAL: 2,",
+        "_MODE_TEST = {NegMode.STRICT_PARTIAL: 2, NegMode.SOFT_PARTIAL: 1,",
+        (
+            "tests/test_matching.py::TestCheckEmbedding::test_slot_mode_pins_evaluation",
+            "tests/test_matching.py::TestVerticalEdgeCases::test_pinned_partial_modes",
+        ),
+    ),
+    Mutant(
+        "partial-negative-subtrees-cut",
+        # The pruned miner cuts below an infrequent negative node under
+        # partial non-inclusion too, where growing the negative can regain
+        # support.
+        "negseq/mining.py",
+        "        elif cut_negatives:\n",
+        "        else:\n",
+        (
+            "tests/test_mining.py::TestPruned::test_partial_growth_regains_support",
+            "tests/test_mining.py::TestPruned"
+            "::test_agrees_with_bruteforce_on_random_instances[weak-soft-partial]",
+        ),
+    ),
+    Mutant(
+        "item-token-whitespace-narrowed",
+        # The item-token rule stops at ASCII blanks only, so a form feed or
+        # a non-ASCII space becomes part of an item.
+        "negseq/model.py",
+        'ITEM_TOKEN = re.compile("[^\\\\s"',
+        'ITEM_TOKEN = re.compile("[^ \\\\t\\\\n\\\\r"',
+        (
+            "tests/test_model.py::TestTokens::test_rejected",
+            "tests/test_textio.py::test_token_regex_agrees_with_character_loop",
+        ),
+    ),
 )
 
 

@@ -30,7 +30,7 @@ from negseq import (
     support,
     theta_bits,
 )
-from negseq.matching import _COMBO_TEST, _decide, theta_masks, weak_strong_support
+from negseq.matching import _COMBO_TEST, _Layout, _decide, theta_masks, weak_strong_support
 from negseq.orders import random_pattern, random_sequence
 from negseq.textio import parse_pattern, parse_sequence
 from conftest import pairwise_masks, sequence_rows, with_random_modes
@@ -471,6 +471,26 @@ class TestContains:
             assert (report.witness, report.violator) == ((1, 2, 3), (1, 2, 7))
             assert report.contained == (theta.occurrence is Occurrence.WEAK)
 
+    def test_witness_moves_past_a_shared_index(self, abc_dict):
+        # The first placement (1, 3) has c in its gap. The passing a at 3
+        # shares its index with a b, so the witness puts b at 4.
+        p = parse_pattern("<a !c b>", abc_dict)
+        s = parse_sequence("a c (a b) b", abc_dict)
+        for theta in THETAS:
+            report = contains(p, s, theta)
+            assert (report.witness, report.violator) == ((3, 4), (1, 3))
+            assert report.contained == (theta.occurrence is Occurrence.WEAK)
+
+    def test_violator_puts_the_failing_itemset_into_the_gap(self, abc_dict):
+        # The first placement (1, 3) passes. The c at 3 fails the slot only
+        # from inside the gap, so the violator puts the second c at 4.
+        p = parse_pattern("<a !c c>", abc_dict)
+        s = parse_sequence("a b c c", abc_dict)
+        for theta in THETAS:
+            report = contains(p, s, theta)
+            assert (report.witness, report.violator) == ((1, 3), (1, 4))
+            assert report.contained == (theta.occurrence is Occurrence.WEAK)
+
     def test_blocked_sequence_fails_all_eight(self, abc_dict):
         p = parse_pattern("<a !(b c) d>", abc_dict)
         s = parse_sequence("a (b c) e d", abc_dict)
@@ -618,3 +638,28 @@ class TestVerticalEdgeCases:
         sequences = [parse_sequence(text, abc_dict) for text in ("a c a b d", "a b c d")]
         p = parse_pattern("<a !c b d>", abc_dict)
         assert vertical_rows([p], sequences) == [[0b10, 0b11] * 4]
+
+    def test_layout_cell_numbering(self):
+        # Cell 0 is the leading separator. Each itemset takes the next cell
+        # and each sequence ends with a separator cell, an empty one too.
+        # Cell 5 holds none of the layout's items (0 and 1), so no row has it.
+        sequences = [
+            Sequence((Itemset.of([0]), Itemset.of([1]))),
+            Sequence(()),
+            Sequence((Itemset.of([2]), Itemset.of([0, 3]))),
+        ]
+        layout = _Layout(sequences, Itemset.of([0, 1]).mask)
+        assert layout.ends == [3, 4, 7]
+        assert layout.sep == 0b10011001
+        assert layout.free == 0b01100110
+        assert layout.cells == {0: 0b01000010, 1: 0b00000100}
+
+    def test_pinned_partial_modes(self, abc_dict):
+        # b and c sit in different gap itemsets: a slot pinned to
+        # strict-partial fails under every relation, soft-partial passes.
+        sequences = [parse_sequence("a c b e d", abc_dict)]
+        strict = parse_pattern("<a !{b c} d>", abc_dict)
+        soft = NegPattern(
+            strict.positives, (Negative(strict.negatives[0].itemset, NegMode.SOFT_PARTIAL),)
+        )
+        assert vertical_rows([strict, soft], sequences) == [[0] * 8, [1] * 8]

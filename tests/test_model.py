@@ -30,8 +30,12 @@ class TestTokens:
         assert check_token("a") == "a"
         assert check_token("drug_B12") == "drug_B12"
 
+    # The last seven hold whitespace beyond the ASCII blanks: vertical tab,
+    # form feed, a separator, next line and three Unicode spaces.
     @pytest.mark.parametrize("bad", ["", "a b", "a\t", "x(", "y)", "z{", "w}",
-                                     "p|", "q!", "r<", "s>", "t,", "u#", "v¬"])
+                                     "p|", "q!", "r<", "s>", "t,", "u#", "v¬",
+                                     "a\x0bb", "a\x0cb", "a\x1cb", "a\x85b",
+                                     "a\xa0b", "a\u2028b", "a\u3000b"])
     def test_rejected(self, bad):
         with pytest.raises(InvalidTokenError):
             check_token(bad)
