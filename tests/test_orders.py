@@ -712,10 +712,24 @@ class TestSuites:
             "negseq.matching._ruled_out",
             lambda qmask, test, smask: 0 if test == 1 else _ruled_out(qmask, test, smask),
         )
-        failed = {
-            check.name for check in verify_invariants(draws=2000, seed=3) if not check.ok
-        }
-        assert {
-            "strict embedding implies soft embedding",
-            "containment respects the dominance table",
-        } <= failed
+        # The exact accounting of every check pins how the harness counts
+        # and which example it keeps, so a faster harness cannot change it.
+        accounting = [
+            (check.name, check.failures, check.example)
+            for check in verify_invariants(draws=2000, seed=3)
+        ]
+        assert accounting == [
+            ("non-inclusion: total implies partial", 0, ""),
+            ("strict embedding implies soft embedding", 44, "e=(1, 2, 4)"),
+            ("total non-inclusion: soft and strict embeddings coincide", 0, ""),
+            ("singleton negatives: soft and strict embeddings coincide", 21, "e=(1, 2, 4)"),
+            ("accepted tuples embed the positive part", 0, ""),
+            ("strong containment implies weak containment", 0, ""),
+            ("total containment implies partial containment", 0, ""),
+            ("containment respects the dominance table", 47, "strong-strict-partial"),
+            (
+                "support chain across the eight relations",
+                45,
+                "strong-strict-partial=1 strong-soft-partial=0",
+            ),
+        ]
