@@ -13,10 +13,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cache, partial
 from itertools import chain, combinations
 from math import ceil, log
 from operator import eq
-from typing import Iterable, Iterator, Sequence as SequenceABC
+from typing import Callable, Iterable, Iterator, Sequence as SequenceABC
 
 from .model import (
     Dictionary,
@@ -643,9 +644,12 @@ def _below(rng: random.Random, n: int) -> int:
 def _sample_mask(rng: random.Random, n: int, k: int) -> int:
     # The bitmask of rng.sample(range(n), k), drawn as CPython draws it: by
     # swaps in a pool of n when that list is smaller than a set of k, else by
-    # redrawing any index already taken.
+    # redrawing any index already taken. Up to six items, the pool path is a
+    # walk of _sample_tree.
     if not 0 <= k <= n:
         raise ValueError("Sample larger than population or is negative")
+    if n <= _TREE_ITEMS:
+        return _walk(_sample_tree(n, k), rng).mask
     setsize = 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
     mask = 0
     if n <= setsize:
@@ -663,6 +667,64 @@ def _sample_mask(rng: random.Random, n: int, k: int) -> int:
     return mask
 
 
+# Draws over at most six items replay on trees, so they build no pool and
+# no itemset. A node is a list: the bits it draws, then the next node for
+# each value of those bits. A value past the range leads back to the node
+# itself, which is _below's redraw. The leaves are shared itemsets, one per
+# mask below 64. Each tree is built once and never changed; with six items
+# there are at most a few hundred trees of at most a few thousand nodes.
+_TREE_ITEMS = 6
+_SMALL_ITEMSETS = tuple(Itemset(mask) for mask in range(1 << _TREE_ITEMS))
+
+
+def _draw_node(m: int, kid: Callable[[int], list | Itemset]) -> list:
+    # A draw below m, as _below draws it: kid(j) for each j < m.
+    bits = m.bit_length()
+    node: list = [bits]
+    node.extend([kid(j) if j < m else node for j in range(1 << bits)])
+    return node
+
+
+def _pool_node(pool: tuple[int, ...], k: int, mask: int) -> list | Itemset:
+    # The last k draws of _sample_mask's pool path, from ``pool`` on.
+    if not k:
+        return _SMALL_ITEMSETS[mask]
+    last = len(pool) - 1
+
+    def kid(j: int) -> list | Itemset:
+        rest = list(pool)
+        rest[j] = rest[last]
+        return _pool_node(tuple(rest[:last]), k - 1, mask | 1 << pool[j])
+
+    return _draw_node(last + 1, kid)
+
+
+@cache
+def _sample_tree(n: int, k: int) -> list | Itemset:
+    # rng.sample(range(n), k), for 0 <= k <= n <= 6.
+    return _pool_node(tuple(range(n)), k, 0)
+
+
+def _walk(node: list | Itemset, rng: random.Random) -> Itemset:
+    # The leaf that the draws of rng reach from node.
+    getrandbits = rng.getrandbits
+    while node.__class__ is list:
+        node = node[1 + getrandbits(node[0])]
+    return node
+
+
+@cache
+def _itemset_draw(n: int, low: int, high: int) -> Callable[[random.Random], Itemset]:
+    # The draw of the itemset of rng.sample(range(n), rng.randint(low, high)):
+    # a walk of a tree where one applies, else the draws one by one. Cached,
+    # as a random pattern asks for two: callers pass a few fixed bounds, so
+    # the cache stays small.
+    if low <= high <= n <= _TREE_ITEMS:
+        tree = _draw_node(high - low + 1, lambda r: _sample_tree(n, low + r))
+        return partial(_walk, tree)
+    return lambda rng: Itemset(_sample_mask(rng, n, low + _below(rng, high - low + 1)))
+
+
 def random_pattern(
     rng: random.Random,
     alphabet: int = 5,
@@ -674,18 +736,14 @@ def random_pattern(
     """A random pattern, with the draws of ``rng.randint`` and
     ``rng.sample(range(alphabet), size)`` for the number of positives and
     each itemset. They are replayed on ``rng.getrandbits``, which is faster;
-    a test compares the replay with the standard library over many seeds."""
+    a test compares the replay with the standard library over many seeds.
+    Over an alphabet of at most six items, equal itemsets are one shared
+    object: every mask below 64 has one."""
     k = 1 + _below(rng, max_positives)
-    positives = tuple(
-        Itemset(_sample_mask(rng, alphabet, 1 + _below(rng, max_itemset_size)))
-        for _ in range(k)
-    )
-    cap = 1 if singleton_negatives else max_neg_size
-    negatives = tuple(
-        Negative(Itemset(_sample_mask(rng, alphabet, _below(rng, cap + 1))))
-        for _ in range(k - 1)
-    )
-    return NegPattern(positives, negatives)
+    positive = _itemset_draw(alphabet, 1, max_itemset_size)
+    positives = tuple([positive(rng) for _ in range(k)])
+    negative = _itemset_draw(alphabet, 0, 1 if singleton_negatives else max_neg_size)
+    return NegPattern(positives, tuple([Negative(negative(rng)) for _ in range(k - 1)]))
 
 
 def random_sequence(
@@ -695,13 +753,10 @@ def random_sequence(
     max_itemset_size: int = 3,
 ) -> Sequence:
     """A random sequence, drawn as :func:`random_pattern` draws: the
-    standard library's draws, replayed on ``rng.getrandbits``."""
-    return Sequence(
-        tuple(
-            Itemset(_sample_mask(rng, alphabet, 1 + _below(rng, max_itemset_size)))
-            for _ in range(_below(rng, max_len + 1))
-        )
-    )
+    standard library's draws, replayed on ``rng.getrandbits``. Over an
+    alphabet of at most six items, equal itemsets are one shared object."""
+    itemset = _itemset_draw(alphabet, 1, max_itemset_size)
+    return Sequence(tuple([itemset(rng) for _ in range(_below(rng, max_len + 1))]))
 
 
 def verify_invariants(draws: int = 10000, seed: int = 94001) -> tuple[InvariantCheck, ...]:
@@ -764,7 +819,41 @@ def verify_invariants(draws: int = 10000, seed: int = 94001) -> tuple[InvariantC
         if THETAS[left].occurrence is THETAS[right].occurrence
         and THETAS[left].embedding is THETAS[right].embedding
     ]
+
+    def bit_failures(bits: int) -> list[tuple[str, str]]:
+        # The (check, example) failures of checks 5-7 on these relation bits.
+        found = []
+        for name, pairs in ((names[5], strong_weak), (names[6], total_partial)):
+            for left, right in pairs:
+                if (bits >> left) & 1 and not (bits >> right) & 1:
+                    found.append((name, THETAS[left].spell()))
+        for t in range(8):
+            if (bits >> t) & 1 and bits & implied[t] != implied[t]:
+                found.append((names[7], THETAS[t].spell()))
+        return found
+
+    # Checks 5-7 read nothing but theta_bits: one lookup per draw.
+    failures_of_bits = [bit_failures(bits) for bits in range(1 << len(THETAS))]
+    # The (soft, strict) total indices under each occurrence.
+    soft_strict_total = [
+        (
+            occ,
+            Theta(occ, EmbeddingKind.SOFT, NonInclusion.TOTAL).index,
+            Theta(occ, EmbeddingKind.STRICT, NonInclusion.TOTAL).index,
+        )
+        for occ in Occurrence
+    ]
+    # Draws repeat positive parts, so one run builds each once.
+    positive_parts: dict[tuple[int, ...], NegPattern] = {}
+    # The 1-based positions of each mask over a sequence of at most six
+    # itemsets, random_sequence's default length.
+    positions = [tuple(j + 1 for j in itemset) for itemset in _SMALL_ITEMSETS]
     dictionary = Dictionary(chr(ord("a") + i) for i in range(5))
+    # The two itemsets of check 1: rng.sample(range(5), rng.randint(0, 3)).
+    small_itemset = _itemset_draw(5, 0, 3)
+    # Enum members, read once: a member lookup costs about 0.1 us.
+    strict_kind, soft_kind = EmbeddingKind.STRICT, EmbeddingKind.SOFT
+    partial_incl, total_incl = NonInclusion.PARTIAL, NonInclusion.TOTAL
 
     def record(name: str, detail: str) -> None:
         failures[name] += 1
@@ -777,48 +866,39 @@ def verify_invariants(draws: int = 10000, seed: int = 94001) -> tuple[InvariantC
         s = random_sequence(rng)
         recent.append(s)
 
-        pp = Itemset(_sample_mask(rng, 5, _below(rng, 4)))
-        ii = Itemset(_sample_mask(rng, 5, _below(rng, 4)))
-        if non_inclusion(pp, ii, NonInclusion.TOTAL) and not non_inclusion(
-            pp, ii, NonInclusion.PARTIAL
-        ):
+        pp = small_itemset(rng)
+        ii = small_itemset(rng)
+        if non_inclusion(pp, ii, total_incl) and not non_inclusion(pp, ii, partial_incl):
             record(names[0], f"P={pp.items} I={ii.items}")
 
-        embeddings = positive_embeddings(positive_part(p), s)
+        pplus = positive_parts.get(p.positive_masks)
+        if pplus is None:
+            pplus = positive_parts[p.positive_masks] = positive_part(p)
+        embeddings = positive_embeddings(pplus, s)
         for e in embeddings[:8]:
-            for incl in (NonInclusion.PARTIAL, NonInclusion.TOTAL):
-                strict = check_embedding(e, p, s, EmbeddingKind.STRICT, incl)
-                soft = check_embedding(e, p, s, EmbeddingKind.SOFT, incl)
+            for incl in (partial_incl, total_incl):
+                strict = check_embedding(e, p, s, strict_kind, incl)
+                soft = check_embedding(e, p, s, soft_kind, incl)
                 if strict and not soft:
                     record(names[1], f"e={e}")
-                if incl is NonInclusion.TOTAL and strict != soft:
+                if incl is total_incl and strict != soft:
                     record(names[2], f"e={e}")
                 if singleton and strict != soft:
                     record(names[3], f"e={e}")
 
         if len(s) >= len(p.positives) >= 1:
             # The sorted draw of rng.sample(range(1, len(s) + 1), k).
-            guess = tuple(
-                j + 1 for j in Itemset(_sample_mask(rng, len(s), len(p.positives)))
-            )
+            guess = positions[_sample_mask(rng, len(s), len(p.positives))]
             try:
-                check_embedding(
-                    guess, p, s, EmbeddingKind.SOFT, NonInclusion.PARTIAL
-                )
+                check_embedding(guess, p, s, soft_kind, partial_incl)
                 accepted = True
             except NotAPositiveEmbeddingError:
                 accepted = False
             if accepted != (guess in embeddings):
                 record(names[4], f"e={guess}")
 
-        bits = theta_bits(p, s)
-        for name, pairs in ((names[5], strong_weak), (names[6], total_partial)):
-            for left, right in pairs:
-                if (bits >> left) & 1 and not (bits >> right) & 1:
-                    record(name, THETAS[left].spell())
-        for t in range(8):
-            if (bits >> t) & 1 and bits & implied[t] != implied[t]:
-                record(names[7], THETAS[t].spell())
+        for name, detail in failures_of_bits[theta_bits(p, s)]:
+            record(name, detail)
 
         if len(recent) >= 4:
             db = SequenceDatabase(tuple(recent), dictionary)
@@ -831,10 +911,8 @@ def verify_invariants(draws: int = 10000, seed: int = 94001) -> tuple[InvariantC
                         f"{THETAS[left].spell()}={supports[left]} "
                         f"{THETAS[right].spell()}={supports[right]}",
                     )
-            for occ in Occurrence:
-                soft_total = Theta(occ, EmbeddingKind.SOFT, NonInclusion.TOTAL)
-                strict_total = Theta(occ, EmbeddingKind.STRICT, NonInclusion.TOTAL)
-                if supports[soft_total.index] != supports[strict_total.index]:
+            for occ, soft_total, strict_total in soft_strict_total:
+                if supports[soft_total] != supports[strict_total]:
                     record(names[8], f"{occ.value} soft/strict total differ")
 
     return tuple(

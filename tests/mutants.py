@@ -12,7 +12,10 @@ survives.
 
 Pytest does not collect this file, as its name does not start with
 ``test_``. Name only tests that import ``negseq`` in process: a test that
-starts a subprocess with its own PYTHONPATH never sees the mutant.
+starts a subprocess with its own PYTHONPATH never sees the mutant. Every
+pytest run takes the same hypothesis seed, so a hypothesis test draws the
+same examples on every run and a verdict does not change between runs; with
+a fixed seed hypothesis also leaves its example database alone.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+HYPOTHESIS_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -181,6 +185,138 @@ MUTANTS = (
             "tests/test_textio.py::test_token_regex_agrees_with_character_loop",
         ),
     ),
+    Mutant(
+        "soft-partial-ignores-long-gaps",
+        # The soft-partial slot test passes every gap of three or more
+        # itemsets in the per-sequence core.
+        "negseq/matching.py",
+        "        for smask in seq_masks[lo[i] + 1 : hi[i + 1]]:\n",
+        "        gap = seq_masks[lo[i] + 1 : hi[i + 1]]\n"
+        "        for smask in () if slot_test == 2 and len(gap) >= 3 else gap:\n",
+        (
+            # The lemma suite, as ``verify --suite lemmas`` runs it.
+            "tests/test_orders.py::TestSuites::test_invariant_harness",
+            "tests/test_cli.py::test_verify_output_matches_golden[lemmas-extra3-text]",
+            "tests/test_acceptance.py::test_criterion_6_equivalence_classes",
+            "tests/test_orders.py::TestDominanceScan::test_grid_masks_equal_pairwise_theta_bits",
+        ),
+    ),
+    Mutant(
+        "soft-total-tests-as-soft-partial",
+        # The soft-total combo applies the soft-partial slot test.
+        "negseq/matching.py",
+        "_COMBO_TEST = (1, 2, 4, 4)\n",
+        "_COMBO_TEST = (1, 2, 4, 2)\n",
+        (
+            "tests/test_matching.py::TestCheckEmbedding::test_single_item_gap",
+            "tests/test_matching.py::TestSupport::test_total_non_inclusion_on_comparison_db",
+            "tests/test_orders.py::TestEquivalenceClasses::test_general_space_has_six_classes",
+            "tests/test_orders.py::TestSuites::test_invariant_harness",
+            "tests/test_cli.py::test_mine_output_matches_golden[small-bounds0-8-weak-soft-total]",
+        ),
+    ),
+    Mutant(
+        "partial-blockers-swapped",
+        # The vertical engine blocks a strict-partial gap by the cells that
+        # hold the whole negative, and a soft-partial one item by item.
+        "negseq/matching.py",
+        "            if test == 2:\n                cells = [reduce(and_, cells)]\n",
+        "            if test == 1:\n                cells = [reduce(and_, cells)]\n",
+        (
+            "tests/test_matching.py::TestVerticalEdgeCases::test_pinned_partial_modes",
+            "tests/test_orders.py::TestDominanceScan::test_grid_masks_equal_pairwise_theta_bits[False]",
+            "tests/test_orders.py::TestSuites::test_dominance_suite_is_clean",
+            "tests/test_cli.py::test_mine_output_matches_golden[small-bounds0-8-weak-soft-partial]",
+        ),
+    ),
+    Mutant(
+        "violator-slots-first-to-last",
+        # The violator scan tries the slots first to last, so it returns a
+        # failing placement that is not the lexicographically first one.
+        "negseq/matching.py",
+        "    for i in range(len(tests) - 1, -1, -1):\n",
+        "    for i in range(len(tests)):\n",
+        (
+            "tests/test_matching.py::TestContains::test_violator_comes_from_the_last_failing_slot",
+        ),
+    ),
+    Mutant(
+        "count-window-off-by-one",
+        # The embedding count takes the previous positive's full count one
+        # index before the end of its window.
+        "negseq/matching.py",
+        "count += ways[x] if x < end else ways[end]",
+        "count += ways[x] if x < end - 1 else ways[end]",
+        (
+            "tests/test_cli.py::TestMatchCommand::test_first_violator_beyond_a_million_embeddings",
+        ),
+    ),
+    Mutant(
+        "lemma-bit-table-misses-a-pair",
+        # The lemma harness's table from theta_bits to failures leaves out
+        # the first strong-over-weak pair.
+        "negseq/orders.py",
+        "(names[5], strong_weak)",
+        "(names[5], strong_weak[1:])",
+        (
+            "tests/test_orders.py::TestSuites::test_invariant_harness_reports_failures",
+        ),
+    ),
+    Mutant(
+        "sample-pool-swap-off-by-one",
+        # Above six items, the pool path of the sample replay moves the
+        # wrong entry into the drawn index.
+        "negseq/orders.py",
+        "            pool[j] = pool[n - i - 1]\n",
+        "            pool[j] = pool[n - i - 2]\n",
+        (
+            "tests/test_orders.py::TestDrawReplay::test_sample_mask_equals_the_stdlib_sample",
+            "tests/test_orders.py::TestDrawReplay::test_patterns_and_sequences_equal_the_stdlib_draws",
+        ),
+    ),
+    Mutant(
+        "draw-tree-swap-off-by-one",
+        # Up to six items, the draw tree moves the wrong entry of the pool
+        # into the drawn index.
+        "negseq/orders.py",
+        "        rest[j] = rest[last]\n",
+        "        rest[j] = rest[last - 1]\n",
+        (
+            "tests/test_orders.py::TestDrawReplay",
+            "tests/test_orders.py::TestSuites::test_invariant_harness_reports_failures",
+            "tests/test_orders.py::TestSuites::test_invariant_harness_sees_a_broken_slot_test",
+        ),
+    ),
+    Mutant(
+        "draw-tree-folds-instead-of-redrawing",
+        # A drawn value past the range is folded into it instead of drawn
+        # again, so the replay takes fewer words than the standard library.
+        "negseq/orders.py",
+        "kid(j) if j < m else node for j in range(1 << bits)",
+        "kid(j % m) for j in range(1 << bits)",
+        (
+            "tests/test_orders.py::TestDrawReplay",
+            "tests/test_orders.py::TestSuites::test_invariant_harness_reports_failures",
+            "tests/test_orders.py::TestSuites::test_invariant_harness_sees_a_broken_slot_test",
+        ),
+    ),
+    Mutant(
+        "positive-part-cache-keyed-on-length",
+        # The lemma harness reuses the positive part of any earlier pattern
+        # with as many positives.
+        "negseq/orders.py",
+        "        pplus = positive_parts.get(p.positive_masks)\n"
+        "        if pplus is None:\n"
+        "            pplus = positive_parts[p.positive_masks] = positive_part(p)\n",
+        "        pplus = positive_parts.get(len(p.positives))\n"
+        "        if pplus is None:\n"
+        "            pplus = positive_parts[len(p.positives)] = positive_part(p)\n",
+        (
+            "tests/test_orders.py::TestSuites::test_invariant_harness",
+            "tests/test_cli.py::test_verify_output_matches_golden[lemmas-extra3-text]",
+            "tests/test_orders.py::TestSuites::test_invariant_harness_sees_a_broken_slot_test",
+        ),
+    ),
 )
 
 
@@ -196,7 +332,10 @@ def _pytest(src: Path, tests: list[str]) -> tuple[set[str], set[str]]:
     if not Path(where).is_relative_to(src):
         sys.exit(f"negseq imports from {where}, not from {src}")
     result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *tests],
+        [
+            sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+            f"--hypothesis-seed={HYPOTHESIS_SEED}", *tests,
+        ],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     outcomes: dict[str, set[str]] = {"PASSED": set(), "FAILED": set(), "ERROR": set()}
