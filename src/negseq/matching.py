@@ -4,16 +4,21 @@ Builds up from itemset non-inclusion through soft/strict embeddings and
 weak/strong occurrence to support counting. All functions are pure.
 
 Two engines decide containment. The per-sequence core decides one pattern
-in one sequence, each relation from its own slot test; :func:`contains`
-(with witness and violator, and a count of the placements made only when
-it is read), :func:`is_contained`, :func:`support`, :func:`theta_bits`,
-:func:`all_theta_supports` and the bruteforce miner use it. The vertical
-engine, ``_Layout``, decides patterns against a list of sequences laid out
-as one bit string: :func:`theta_masks` builds ``orders.ContainmentGrid``,
-the verification grid, with it, ``mining.mine_pruned`` counts every
-candidate on one layout of the database, and the tests check it against
-the core. Per slot test it runs one weak pass and one failing pass; strong
-containment is the positive part's sequences minus the failing pass's.
+in one sequence, each relation from its own slot test and from the earliest
+and latest placements of the positives; :func:`contains` (with witness and
+violator, and a count of the placements made only when it is read),
+:func:`is_contained`, :func:`theta_bits`, the support counts and the
+bruteforce miner use it. Every relation needs the positive part to embed,
+so a support count decides a pattern only in the sequences that
+:func:`_placed` finds for its positives, from the placements found there;
+the bruteforce miner finds them once for a run of candidates with the same
+positives. The vertical engine, ``_Layout``, decides patterns against a
+list of sequences laid out as one bit string: :func:`theta_masks` builds
+``orders.ContainmentGrid``, the verification grid, with it,
+``mining.mine_pruned`` counts every candidate on one layout of the
+database, and the tests check it against the core. Per slot test it runs
+one weak pass and one failing pass; strong containment is the positive
+part's sequences minus the failing pass's.
 
 Every relation quantifies over all placements of the positives, of which
 there can be exponentially many. No decision enumerates them: one containment
@@ -384,9 +389,17 @@ _TEST_BITS = {
 _ALL_BITS = (1 << len(THETAS)) - 1
 
 
-def _decide(p: NegPattern, seq_masks: tuple[int, ...], wanted: int) -> int:
+def _decide(
+    p: NegPattern,
+    seq_masks: tuple[int, ...],
+    wanted: int,
+    first: list[int],
+    last: list[int] | None,
+) -> int:
     """Containment under each relation whose bit is set in ``wanted``, each
-    decided from its own slot test.
+    decided from its own slot test, given that the positives embed: ``first``
+    is their earliest placement and ``last`` their latest, or None to find it
+    when a test first needs it.
 
     Strong: every embedding passes a slot iff the widest gap any embedding
     gives it passes, from the earliest placement of the positive before the
@@ -395,13 +408,9 @@ def _decide(p: NegPattern, seq_masks: tuple[int, ...], wanted: int) -> int:
     backward pass finds one that does. Returns the relation bits, 0 outside
     ``wanted``.
     """
-    pos_masks = p.positive_masks
-    first = _earliest(pos_masks, seq_masks)
-    if first is None:
-        return 0
     if not p.constrained_slots:
         return wanted
-    last = None  # the latest placement, found when a test first needs it
+    pos_masks = p.positive_masks
     bits = 0
     for test in _TESTS:
         strong = _TEST_BITS[test] & wanted
@@ -483,26 +492,62 @@ def contains(p: NegPattern, s: Sequence, theta: Theta) -> MatchReport:
 
 def is_contained(p: NegPattern, s: Sequence, theta: Theta) -> bool:
     """Boolean form of :func:`contains`, without the reporting."""
-    return _decide(p, s.masks, 1 << theta.index) != 0
-
-
-def support(p: NegPattern, db: SequenceDatabase, theta: Theta) -> int:
-    """Number of database sequences that contain ``p`` under ``theta``."""
-    wanted = 1 << theta.index
-    count = 0
-    for s in db.sequences:
-        if _decide(p, s.masks, wanted):
-            count += 1
-    return count
+    seq_masks = s.masks
+    first = _earliest(p.positive_masks, seq_masks)
+    return first is not None and _decide(p, seq_masks, 1 << theta.index, first, None) != 0
 
 
 def theta_bits(p: NegPattern, s: Sequence) -> int:
     """Containment under all eight relations at once.
 
     Bit t is set iff ``p`` is contained in ``s`` under ``THETAS[t]``. Used by
-    the lemma harness, ``match --all-thetas`` and :func:`all_theta_supports`.
+    the lemma harness and ``match --all-thetas``.
     """
-    return _decide(p, s.masks, _ALL_BITS)
+    seq_masks = s.masks
+    first = _earliest(p.positive_masks, seq_masks)
+    return 0 if first is None else _decide(p, seq_masks, _ALL_BITS, first, None)
+
+
+# A sequence where the positives embed: its itemsets' masks, and their
+# earliest and latest placements.
+_Placed = tuple[tuple[int, ...], list[int], list[int]]
+
+
+def _placed(pos_masks: tuple[int, ...], sequences: tuple[Sequence, ...]) -> list[_Placed]:
+    """The sequences where the positives embed, each with the placements
+    that :func:`_decide` reads. Every relation needs the positive part to
+    embed, so containment holds in none of the others, and every pattern
+    with these positives can be counted over this list."""
+    placed = []
+    for s in sequences:
+        seq_masks = s.masks
+        first = _earliest(pos_masks, seq_masks)
+        if first is not None:
+            placed.append((seq_masks, first, _latest(pos_masks, seq_masks)))
+    return placed
+
+
+def _supports(p: NegPattern, placed: list[_Placed], wanted: int) -> list[int]:
+    """Per relation t of ``wanted``, how many of the ``placed`` sequences,
+    :func:`_placed`'s list for the positives of ``p``, contain ``p`` under
+    ``THETAS[t]``; 0 for the others."""
+    tally: dict[int, int] = {}  # how many sequences give each set of bits
+    for seq_masks, first, last in placed:
+        bits = _decide(p, seq_masks, wanted, first, last)
+        tally[bits] = tally.get(bits, 0) + 1
+    counts = [0] * len(THETAS)
+    for bits, count in tally.items():
+        while bits:
+            low = bits & -bits
+            counts[low.bit_length() - 1] += count
+            bits ^= low
+    return counts
+
+
+def support(p: NegPattern, db: SequenceDatabase, theta: Theta) -> int:
+    """Number of database sequences that contain ``p`` under ``theta``."""
+    placed = _placed(p.positive_masks, db.sequences)
+    return _supports(p, placed, 1 << theta.index)[theta.index]
 
 
 def weak_strong_support(
@@ -514,28 +559,14 @@ def weak_strong_support(
     """(weak, strong) supports in one database pass. An oracle helper: the
     tests check it against :func:`all_theta_supports`; the package never calls
     it."""
-    strong_bit = 1 << 2 * COMBOS.index((embedding, nonincl))
-    weak_bit = strong_bit << 1
-    weak = 0
-    strong = 0
-    for s in db.sequences:
-        bits = _decide(p, s.masks, weak_bit | strong_bit)
-        if bits & weak_bit:
-            weak += 1
-        if bits & strong_bit:
-            strong += 1
-    return weak, strong
+    strong = 2 * COMBOS.index((embedding, nonincl))
+    counts = _supports(p, _placed(p.positive_masks, db.sequences), 3 << strong)
+    return counts[strong + 1], counts[strong]
 
 
 def all_theta_supports(p: NegPattern, db: SequenceDatabase) -> tuple[int, ...]:
     """Supports under all eight relations, in canonical THETAS order."""
-    counts = [0] * len(THETAS)
-    for s in db.sequences:
-        bits = theta_bits(p, s)
-        for t in range(len(THETAS)):
-            if (bits >> t) & 1:
-                counts[t] += 1
-    return tuple(counts)
+    return tuple(_supports(p, _placed(p.positive_masks, db.sequences), _ALL_BITS))
 
 
 # --- the vertical engine ----------------------------------------------------

@@ -49,10 +49,10 @@ from .model import (
     SequenceDatabase,
     Theta,
 )
-from .matching import _COMBO_TEST, _Layout, _flood, support
+from .matching import _COMBO_TEST, _Layout, _flood, _placed, _supports
 
-# Not called here: ``bench/run.py --trace 1`` patches it on this module by name.
-from .matching import weak_strong_support
+# Not called here: ``bench/run.py --trace 1`` patches them on this module by name.
+from .matching import support, weak_strong_support
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,7 +140,11 @@ def enumerate_patterns(bounds: PatternBounds) -> Iterator[NegPattern]:
     """Every valid pattern within ``bounds``, exactly once, in a fixed order:
     the canonical construction order that the pruned miner walks as well.
     One recursive walk yields a node, then, while it has no negative, its
-    positive children's subtrees, then its negative children's subtrees."""
+    positive children's subtrees, then its negative children's subtrees. So
+    the patterns with one positive part come in at most two runs: the node,
+    and later its whole negative subtree. :func:`mine_bruteforce` finds a
+    positive part's placements once per run; its result does not depend on
+    the order, only its cost does."""
 
     def walk(
         pattern: NegPattern, neg: tuple[int, ...], last_slot: int, last_item: int
@@ -165,8 +169,9 @@ def enumerate_patterns(bounds: PatternBounds) -> Iterator[NegPattern]:
 @dataclass(frozen=True, slots=True)
 class MiningStats:
     """candidates: patterns whose support was evaluated; support_calls:
-    support counts, one per candidate, over the whole database for the
-    bruteforce engine and on the vertical layout for the pruned one;
+    support counts, one per candidate, over the sequences where its
+    positive part embeds for the bruteforce engine and on the vertical
+    layout for the pruned one;
     pruned_subtrees: cut nodes that have a child in the canonical tree."""
 
     candidates: int = 0
@@ -185,14 +190,29 @@ class MiningResult:
 def mine_bruteforce(
     db: SequenceDatabase, theta: Theta, minsup: int, bounds: PatternBounds
 ) -> MiningResult:
-    """Exact frequent set by exhaustive enumeration; the oracle engine."""
+    """Exact frequent set by exhaustive enumeration; the oracle engine.
+
+    Every candidate of :func:`enumerate_patterns` is decided on the
+    per-sequence core, in each sequence where its positive part embeds.
+    Skipping the others is exact, as every relation needs the positive part
+    to embed. Those sequences and the placements the decisions read are
+    found once per run of candidates with the same positives; the
+    enumeration yields a node's negative subtree in one run, so that is at
+    most twice per positive part.
+    """
     if minsup < 1:
         raise ValueError("minsup must be at least 1")
+    t = theta.index
     frequent: list[tuple[NegPattern, int]] = []
     candidates = 0
+    memo_key: object = None
+    placed: list = []
     for pattern in enumerate_patterns(bounds):
         candidates += 1
-        count = support(pattern, db, theta)
+        if pattern.positive_masks != memo_key:
+            memo_key = pattern.positive_masks
+            placed = _placed(pattern.positive_masks, db.sequences)
+        count = _supports(pattern, placed, 1 << t)[t]
         if count >= minsup:
             frequent.append((pattern, count))
     return MiningResult(

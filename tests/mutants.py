@@ -317,6 +317,35 @@ MUTANTS = (
             "tests/test_orders.py::TestSuites::test_invariant_harness_sees_a_broken_slot_test",
         ),
     ),
+    Mutant(
+        "placement-memo-keyed-on-length",
+        # The bruteforce miner reuses the placements of any earlier pattern
+        # with as many positives.
+        "negseq/mining.py",
+        "        if pattern.positive_masks != memo_key:\n"
+        "            memo_key = pattern.positive_masks\n",
+        "        if len(pattern.positive_masks) != memo_key:\n"
+        "            memo_key = len(pattern.positive_masks)\n",
+        (
+            "tests/test_mining.py::TestBruteforceSharedPlacements::test_equals_the_naive_loop",
+            "tests/test_mining.py::TestBruteforce::test_rule_pattern_is_found",
+            "tests/test_mining.py::TestPruned::test_three_step_patterns_and_strong_occurrence",
+        ),
+    ),
+    Mutant(
+        "placed-latest-is-the-earliest",
+        # The shared placements store the earliest placement as the latest,
+        # so strong occurrence tests the first embedding's gaps only and the
+        # weak search stops at the first placement's last positive.
+        "negseq/matching.py",
+        "            placed.append((seq_masks, first, _latest(pos_masks, seq_masks)))\n",
+        "            placed.append((seq_masks, first, first))\n",
+        (
+            "tests/test_mining.py::test_counting_over_placements_sums_the_decisions",
+            "tests/test_mining.py::TestBruteforceSharedPlacements::test_equals_the_naive_loop",
+            "tests/test_mining.py::TestPruned::test_three_step_patterns_and_strong_occurrence",
+        ),
+    ),
 )
 
 

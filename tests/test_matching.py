@@ -30,7 +30,15 @@ from negseq import (
     support,
     theta_bits,
 )
-from negseq.matching import _COMBO_TEST, _Layout, _decide, theta_masks, weak_strong_support
+from negseq.matching import (
+    _COMBO_TEST,
+    _Layout,
+    _decide,
+    _earliest,
+    _latest,
+    theta_masks,
+    weak_strong_support,
+)
 from negseq.orders import random_pattern, random_sequence
 from negseq.textio import parse_pattern, parse_sequence
 from conftest import pairwise_masks, sequence_rows, with_random_modes
@@ -306,8 +314,14 @@ def test_contains_agrees_with_quantifier_expansion(seed):
         sum(1 << t.index for t in THETAS if _COMBO_TEST[t.combo_index] == test)
         for test in set(_COMBO_TEST)
     ]
-    for wanted in asked:
-        assert _decide(p, s.masks, wanted) == bits & wanted
+    # The decision finds the latest placement itself, or takes it found.
+    first = _earliest(p.positive_masks, s.masks)
+    if first is None:
+        assert bits == 0
+        return
+    for last in (None, _latest(p.positive_masks, s.masks)):
+        for wanted in asked:
+            assert _decide(p, s.masks, wanted, first, last) == bits & wanted
 
 
 @settings(max_examples=150)

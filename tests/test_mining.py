@@ -2,6 +2,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negseq import (
     Dictionary,
@@ -12,16 +14,23 @@ from negseq import (
     SequenceDatabase,
     THETAS,
     Theta,
+    all_theta_supports,
+    is_contained,
+    positive_embeddings,
+    positive_part,
     support,
 )
+from negseq.matching import _ALL_BITS, _placed, _supports, weak_strong_support
 from negseq.mining import (
     PatternBounds,
     enumerate_patterns,
     mine_bruteforce,
     mine_pruned,
 )
+from negseq.model import COMBOS
 from negseq.orders import prefix_incl, neg_ext, random_pattern, random_sequence
 from negseq.textio import parse_database, parse_pattern, render_pattern
+from conftest import with_random_modes
 
 TOTAL_THETAS = tuple(t for t in THETAS if t.non_inclusion is NonInclusion.TOTAL)
 WEAK_STRICT_TOTAL = Theta.parse("weak-strict-total")
@@ -85,6 +94,16 @@ class TestEnumeration:
         bounds = PatternBounds(2, 2, 1, (0, 1))
         assert list(enumerate_patterns(bounds)) == list(enumerate_patterns(bounds))
 
+    def test_each_positive_part_in_at_most_two_runs(self):
+        # The bruteforce miner finds a positive part's placements once per
+        # run of patterns that share it: the node, then after its positive
+        # subtrees its whole negative subtree.
+        runs = []
+        for p in enumerate_patterns(PatternBounds(3, 2, 1, (0, 1, 2))):
+            if not runs or runs[-1] != p.positive_masks:
+                runs.append(p.positive_masks)
+        assert max(runs.count(pos) for pos in set(runs)) == 2
+
 
 class TestBruteforce:
     def test_rule_pattern_is_found(self, fig1_db):
@@ -120,6 +139,77 @@ class TestBruteforce:
         assert len(patterns) == len(set(patterns))
         assert result.stats.candidates == len(list(enumerate_patterns(bounds)))
         assert result.stats.pruned_subtrees == 0
+
+
+# Several two-positive parts embed in only a few of these sequences, and the
+# repeated items give parts more than one placement, so that strong and weak
+# occurrence differ.
+FEW_PLACEMENTS_TEXT = """\
+a b a c
+a c b c
+b a d a b
+c (a b) d c
+a d
+(a b) c a
+d b
+c
+"""
+
+
+def _support_sequence_by_sequence(p, db, theta):
+    """Support as one decision per database sequence, with no shared
+    placements."""
+    return sum(is_contained(p, s, theta) for s in db.sequences)
+
+
+class TestBruteforceSharedPlacements:
+    @pytest.mark.parametrize("theta", THETAS, ids=lambda t: t.spell())
+    @pytest.mark.parametrize(
+        "caps", [(2, 2, 2), (3, 1, 1)], ids=lambda caps: "-".join(map(str, caps))
+    )
+    def test_equals_the_naive_loop(self, theta, caps):
+        # With two or more positives, the walk comes back to a node's
+        # negative subtree after its positive subtrees, so the miner finds
+        # that node's placements again.
+        db = parse_database(FEW_PLACEMENTS_TEXT)
+        bounds = PatternBounds(*caps, tuple(range(len(db.dictionary))))
+        for minsup in (1, 2):
+            naive = [
+                (p, c)
+                for p in enumerate_patterns(bounds)
+                if (c := _support_sequence_by_sequence(p, db, theta)) >= minsup
+            ]
+            assert list(mine_bruteforce(db, theta, minsup, bounds).frequent) == naive
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 10**6))
+def test_counting_over_placements_sums_the_decisions(seed):
+    rng = random.Random(seed)
+    db = SequenceDatabase(
+        tuple(random_sequence(rng, alphabet=4, max_len=7) for _ in range(rng.randint(0, 6))),
+        Dictionary("abcd"),
+    )
+    p = with_random_modes(rng, random_pattern(rng, alphabet=4))
+    # The sequences where the positives embed, each with the first and the
+    # last of their embeddings, as 0-based indices.
+    embedded = []
+    for s in db.sequences:
+        embeddings = positive_embeddings(positive_part(p), s)
+        if embeddings:
+            first, last = embeddings[0], embeddings[-1]
+            embedded.append((s.masks, [j - 1 for j in first], [j - 1 for j in last]))
+    placed = _placed(p.positive_masks, db.sequences)
+    assert placed == embedded
+    expected = tuple(_support_sequence_by_sequence(p, db, theta) for theta in THETAS)
+    assert tuple(_supports(p, placed, _ALL_BITS)) == expected
+    assert all_theta_supports(p, db) == expected
+    assert tuple(support(p, db, theta) for theta in THETAS) == expected
+    for c, (embedding, nonincl) in enumerate(COMBOS):
+        assert weak_strong_support(p, db, embedding, nonincl) == (
+            expected[2 * c + 1],
+            expected[2 * c],
+        )
 
 
 class TestPruned:
