@@ -12,8 +12,12 @@ bruteforce miner use it. Every relation needs the positive part to embed,
 so a support count decides a pattern only in the sequences that
 :func:`_placed` finds for its positives, from the placements found there;
 the bruteforce miner finds them once for a run of candidates with the same
-positives. The vertical engine, ``_Layout``, decides patterns against a
-list of sequences laid out as one bit string: :func:`theta_masks` builds
+positives. A count decides every sequence from one :func:`_plan` per
+pattern, which holds what depends on the pattern alone; a single decision
+works nothing out ahead. A weak decision asks only whether a passing
+placement exists, and never builds the witness that :func:`contains`
+reports. The vertical engine, ``_Layout``, decides patterns against a list
+of sequences laid out as one bit string: :func:`theta_masks` builds
 ``orders.ContainmentGrid``, the verification grid, with it,
 ``mining.mine_pruned`` counts every candidate on one layout of the
 database, and the tests check it against the core. Per slot test it runs
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from operator import and_, or_
 from typing import Iterator
 
@@ -63,6 +67,10 @@ class NotAPositiveEmbeddingError(NegseqError):
     """The tuple is not an embedding of the pattern's positive part."""
 
 
+# Bound once: reading a member off its Enum class is a Python-level lookup.
+_PARTIAL = NonInclusion.PARTIAL
+
+
 def non_inclusion(p: Itemset, i: Itemset, kind: NonInclusion) -> bool:
     """Partial: some item of ``p`` is missing from ``i``. Total: disjointness.
 
@@ -70,7 +78,7 @@ def non_inclusion(p: Itemset, i: Itemset, kind: NonInclusion) -> bool:
     """
     if not p:
         return True
-    if kind is NonInclusion.PARTIAL:
+    if kind is _PARTIAL:
         return p.mask & ~i.mask != 0
     return p.mask & i.mask == 0
 
@@ -167,6 +175,12 @@ def gap_union(s: Sequence, e: Embedding, slot: int) -> Itemset:
 # The slot test a pinned mode applies. TOTAL tests as strict, which equals
 # soft under total non-inclusion.
 _MODE_TEST = {NegMode.STRICT_PARTIAL: 1, NegMode.SOFT_PARTIAL: 2, NegMode.TOTAL: 4}
+# The slot test of a slot's pin: a pinned mode, or the test that a plan
+# resolved it to. An int key hashes in C; an Enum member runs Python code.
+_PIN_TEST = {**_MODE_TEST, 1: 1, 2: 2, 4: 4}
+# Constrained slots as (slot, mask, pin), the pin None where the slot
+# applies the relation's test.
+_Slots = tuple[tuple[int, int, NegMode | int | None], ...]
 
 # The slot test each (embedding, non-inclusion) combo of COMBOS applies:
 # strict-total and soft-total test the same.
@@ -188,15 +202,17 @@ def _ruled_out(qmask: int, test: int, smask: int) -> int:
 
 
 def _passes(
-    p: NegPattern, test: int, seq_masks: tuple[int, ...], lo: list[int], hi: list[int]
+    slots: _Slots, test: int, seq_masks: tuple[int, ...], lo: list[int], hi: list[int]
 ) -> bool:
-    """Does every constrained slot i of ``p`` pass on the gap from ``lo[i]``
-    to ``hi[i + 1]`` (0-based, exclusive)? Each slot applies ``test``, or
-    its pinned mode's own. With ``lo`` and ``hi`` both one placement this
-    checks that placement; with the earliest and latest ones, the widest
-    gaps."""
-    for i, qmask, mode in p.constrained_slots:
-        slot_test = _MODE_TEST[mode] if mode else test
+    """Does every constrained slot i pass on the gap from ``lo[i]`` to
+    ``hi[i + 1]`` (0-based, exclusive)? ``slots`` holds (slot, mask, pin)
+    as ``NegPattern.constrained_slots`` does, or with each pin resolved to
+    its test by :func:`_plan`. Each slot applies its pin's test, or
+    ``test`` where it has none. With ``lo`` and ``hi`` both one placement
+    this checks that placement; with the earliest and latest ones, the
+    widest gaps."""
+    for i, qmask, pin in slots:
+        slot_test = _PIN_TEST[pin] if pin else test
         covered = 0
         for smask in seq_masks[lo[i] + 1 : hi[i + 1]]:
             covered |= _ruled_out(qmask, slot_test, smask)
@@ -246,7 +262,7 @@ def check_embedding(
     _require_positive_embedding(e, p, seq_masks)
     test = _COMBO_TEST[COMBOS.index((embedding, nonincl))]
     index = [position - 1 for position in e]
-    return _passes(p, test, seq_masks, index, index)
+    return _passes(p.constrained_slots, test, seq_masks, index, index)
 
 
 # --- the linear-time core ---------------------------------------------------
@@ -304,7 +320,8 @@ def _first_passing(
     seq_masks: tuple[int, ...],
     first: list[int],
     last: list[int],
-) -> Embedding | None:
+    witness: bool = True,
+) -> Embedding | bool | None:
     """The lexicographically first embedding whose slots all pass, or None.
 
     One backward pass builds a level per positive: the ascending indices
@@ -314,7 +331,14 @@ def _first_passing(
     gap. No embedding passes iff a level is empty; else each positive takes
     the earliest entry of its level after the one before, which passes the
     slot between them by construction.
+
+    With ``witness`` false this is the existence form that :func:`_decide`
+    asks: True as soon as the pass finds an index for the first positive,
+    with no witness walk, or None as before.
     """
+    # Only the first positive's level can stop the existence form early:
+    # an entry there completes through every later level.
+    stop = -1 if witness else 0
     pmask = pos_masks[-1]
     level = [j for j in range(first[-1], last[-1] + 1) if not pmask & ~seq_masks[j]]
     levels = [level]
@@ -329,6 +353,8 @@ def _first_passing(
             covered = 0  # what the gap from j to level[r] rules out of qmask
             for j in range(level[r] - 1, first[i] - 1, -1):
                 if covered != qmask and not pmask & ~seq_masks[j]:
+                    if i == stop:
+                        return True
                     found.append(j)
                 if r and level[r - 1] == j:
                     r -= 1
@@ -340,6 +366,8 @@ def _first_passing(
             return None
         levels.append(found)
         level = found
+    if not witness:
+        return True
     index = [level[0]]
     for level in levels[-2::-1]:
         index.append(level[bisect_right(level, index[-1])])
@@ -388,41 +416,71 @@ _TEST_BITS = {
 }
 _ALL_BITS = (1 << len(THETAS)) - 1
 
+# What :func:`_decide` works from: the relation bits it settles, the
+# constrained slots, :func:`_steps` for those bits, and per slot test the
+# weak search's list, which the first search under that test builds.
+_Plan = tuple[int, _Slots, tuple[tuple[int, int, int], ...], dict[int, list]]
+
+
+@cache
+def _steps(wanted: int) -> tuple[tuple[int, int, int], ...]:
+    """Per slot test that the relation bits ``wanted`` need: the test, its
+    strong bits and its weak bits."""
+    return tuple(
+        (test, bits & wanted, bits << 1 & wanted)
+        for test, bits in _TEST_BITS.items()
+        if (bits | bits << 1) & wanted
+    )
+
+
+def _plan(p: NegPattern, wanted: int) -> _Plan:
+    """The plan for deciding ``p`` under the relations of ``wanted`` in many
+    sequences: what depends on the pattern alone, worked out once. Pinned
+    modes are resolved to their slot tests here, and each weak search's
+    list is built once for all the sequences."""
+    slots = tuple(
+        [(i, qmask, _MODE_TEST[mode] if mode else None) for i, qmask, mode in p.constrained_slots]
+    )
+    return wanted, slots, _steps(wanted), {}
+
 
 def _decide(
     p: NegPattern,
     seq_masks: tuple[int, ...],
-    wanted: int,
+    plan: _Plan,
     first: list[int],
     last: list[int] | None,
 ) -> int:
-    """Containment under each relation whose bit is set in ``wanted``, each
-    decided from its own slot test, given that the positives embed: ``first``
-    is their earliest placement and ``last`` their latest, or None to find it
-    when a test first needs it.
+    """Containment under each relation that ``plan`` settles, each decided
+    from its own slot test, given that the positives embed: ``first`` is
+    their earliest placement and ``last`` their latest, or None to find it
+    when a test first needs it. A count over many sequences passes
+    :func:`_plan`'s plan; a single decision passes the pattern's own
+    constrained slots and a fresh dict for the weak searches' lists.
 
     Strong: every embedding passes a slot iff the widest gap any embedding
     gives it passes, from the earliest placement of the positive before the
     slot to the latest placement of the one after. Weak: the
-    lexicographically first embedding passes, or :func:`_first_passing`'s
-    backward pass finds one that does. Returns the relation bits, 0 outside
-    ``wanted``.
+    lexicographically first embedding passes, or the existence form of
+    :func:`_first_passing` finds one that does, with no witness. Returns the
+    relation bits, 0 outside the plan's.
     """
-    if not p.constrained_slots:
+    wanted, slots, steps, searches = plan
+    if not slots:
         return wanted
     pos_masks = p.positive_masks
     bits = 0
-    for test in _TESTS:
-        strong = _TEST_BITS[test] & wanted
-        weak = _TEST_BITS[test] << 1 & wanted
+    for test, strong, weak in steps:
         if strong:
             last = last or _latest(pos_masks, seq_masks)
-            if _passes(p, test, seq_masks, first, last):
+            if _passes(slots, test, seq_masks, first, last):
                 bits |= strong
-        if weak and not _passes(p, test, seq_masks, first, first):
+        if weak and not _passes(slots, test, seq_masks, first, first):
             last = last or _latest(pos_masks, seq_masks)
-            tests = _slot_tests(p, test)
-            if _first_passing(pos_masks, tests, seq_masks, first, last) is None:
+            tests = searches.get(test)
+            if tests is None:
+                tests = searches[test] = _slot_tests(p, test)
+            if _first_passing(pos_masks, tests, seq_masks, first, last, False) is None:
                 weak = 0
         bits |= weak
     return bits
@@ -475,7 +533,7 @@ def contains(p: NegPattern, s: Sequence, theta: Theta) -> MatchReport:
     test = _COMBO_TEST[theta.combo_index]
     tests = _slot_tests(p, test)
     lexfirst = tuple(j + 1 for j in first)
-    if _passes(p, test, seq_masks, first, first):
+    if _passes(p.constrained_slots, test, seq_masks, first, first):
         witness = lexfirst
         violator = _first_failing(pos_masks, tests, seq_masks, first, last)
     else:
@@ -494,7 +552,11 @@ def is_contained(p: NegPattern, s: Sequence, theta: Theta) -> bool:
     """Boolean form of :func:`contains`, without the reporting."""
     seq_masks = s.masks
     first = _earliest(p.positive_masks, seq_masks)
-    return first is not None and _decide(p, seq_masks, 1 << theta.index, first, None) != 0
+    if first is None:
+        return False
+    t = theta.index
+    plan = (1 << t, p.constrained_slots, _steps(1 << t), {})
+    return _decide(p, seq_masks, plan, first, None) != 0
 
 
 def theta_bits(p: NegPattern, s: Sequence) -> int:
@@ -505,7 +567,10 @@ def theta_bits(p: NegPattern, s: Sequence) -> int:
     """
     seq_masks = s.masks
     first = _earliest(p.positive_masks, seq_masks)
-    return 0 if first is None else _decide(p, seq_masks, _ALL_BITS, first, None)
+    if first is None:
+        return 0
+    plan = (_ALL_BITS, p.constrained_slots, _steps(_ALL_BITS), {})
+    return _decide(p, seq_masks, plan, first, None)
 
 
 # A sequence where the positives embed: its itemsets' masks, and their
@@ -530,10 +595,12 @@ def _placed(pos_masks: tuple[int, ...], sequences: tuple[Sequence, ...]) -> list
 def _supports(p: NegPattern, placed: list[_Placed], wanted: int) -> list[int]:
     """Per relation t of ``wanted``, how many of the ``placed`` sequences,
     :func:`_placed`'s list for the positives of ``p``, contain ``p`` under
-    ``THETAS[t]``; 0 for the others."""
+    ``THETAS[t]``; 0 for the others. Every sequence is decided from one
+    :func:`_plan`."""
+    plan = _plan(p, wanted)
     tally: dict[int, int] = {}  # how many sequences give each set of bits
     for seq_masks, first, last in placed:
-        bits = _decide(p, seq_masks, wanted, first, last)
+        bits = _decide(p, seq_masks, plan, first, last)
         tally[bits] = tally.get(bits, 0) + 1
     counts = [0] * len(THETAS)
     for bits, count in tally.items():

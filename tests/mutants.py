@@ -346,6 +346,34 @@ MUTANTS = (
             "tests/test_mining.py::TestPruned::test_three_step_patterns_and_strong_occurrence",
         ),
     ),
+    Mutant(
+        "existence-exit-at-every-level",
+        # The existence form of the weak search stops at the first passing
+        # index of any level, though only the first positive's completes.
+        "negseq/matching.py",
+        "                    if i == stop:\n",
+        "                    if not witness:\n",
+        (
+            "tests/test_matching.py::TestContains"
+            "::test_existence_search_stops_only_at_the_first_positive",
+            "tests/test_matching.py::test_existence_search_agrees_with_the_witness_search",
+            "tests/test_matching.py::test_decisions_agree_with_quantifier_expansion_on_long_inputs",
+        ),
+    ),
+    Mutant(
+        "plan-reuses-one-slot-tests-list",
+        # A plan gives every weak search the first list it built, whatever
+        # that list's slot test.
+        "negseq/matching.py",
+        "            tests = searches.get(test)\n",
+        "            tests = searches.get(test) or next(iter(searches.values()), None)\n",
+        (
+            "tests/test_matching.py::TestSupport"
+            "::test_each_relation_searches_with_its_own_slot_test",
+            "tests/test_matching.py::TestContains::test_weak_needs_a_later_embedding",
+            "tests/test_matching.py::test_decisions_agree_with_quantifier_expansion_on_long_inputs",
+        ),
+    ),
 )
 
 

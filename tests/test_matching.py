@@ -33,9 +33,16 @@ from negseq import (
 from negseq.matching import (
     _COMBO_TEST,
     _Layout,
+    _TESTS,
     _decide,
     _earliest,
+    _first_passing,
     _latest,
+    _placed,
+    _plan,
+    _slot_tests,
+    _steps,
+    _supports,
     theta_masks,
     weak_strong_support,
 )
@@ -288,6 +295,18 @@ def long_pair(rng):
     return with_random_modes(rng, p), s
 
 
+# The parts of the eight relations that a decision or a count can be asked
+# for alone: one occurrence, one relation, or the relations of one slot test.
+ASKED = (
+    [sum(1 << t.index for t in THETAS if t.occurrence is occurrence) for occurrence in Occurrence]
+    + [1 << t.index for t in THETAS]
+    + [
+        sum(1 << t.index for t in THETAS if _COMBO_TEST[t.combo_index] == test)
+        for test in _TESTS
+    ]
+)
+
+
 @settings(max_examples=200)
 @given(st.integers(0, 10**6))
 # At seed 923 the first placement passes a weak relation that a later one
@@ -304,24 +323,55 @@ def test_contains_agrees_with_quantifier_expansion(seed):
         assert is_contained(p, s, theta) == expected
         assert bool((bits >> theta.index) & 1) == expected
     # A decision asked for part of the relations settles exactly what it
-    # wants: one occurrence, one relation, or the relations of one slot test.
-    asked = [
-        sum(1 << t.index for t in THETAS if t.occurrence is occurrence)
-        for occurrence in Occurrence
-    ]
-    asked += [1 << t.index for t in THETAS]
-    asked += [
-        sum(1 << t.index for t in THETAS if _COMBO_TEST[t.combo_index] == test)
-        for test in set(_COMBO_TEST)
-    ]
-    # The decision finds the latest placement itself, or takes it found.
+    # wants. It finds the latest placement itself, or takes it found. It
+    # works from a count's plan, with pinned modes resolved, or from a single
+    # decision's, which resolves each pin where it reads it.
     first = _earliest(p.positive_masks, s.masks)
     if first is None:
         assert bits == 0
         return
     for last in (None, _latest(p.positive_masks, s.masks)):
-        for wanted in asked:
-            assert _decide(p, s.masks, wanted, first, last) == bits & wanted
+        for wanted in ASKED:
+            for plan in (_plan(p, wanted), (wanted, p.constrained_slots, _steps(wanted), {})):
+                assert _decide(p, s.masks, plan, first, last) == bits & wanted
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 10**6))
+def test_counts_agree_with_theta_bits_for_each_part_of_the_relations(seed):
+    # A count asked for part of the relations equals, per relation, the
+    # number of sequences whose theta_bits, masked to that part, hold it.
+    rng = random.Random(seed)
+    sequences = tuple(
+        random_sequence(rng, alphabet=3, max_len=9, max_itemset_size=2)
+        for _ in range(rng.randint(1, 6))
+    )
+    p = with_random_modes(rng, random_pattern(rng, alphabet=3, max_positives=4))
+    bits = [theta_bits(p, s) for s in sequences]
+    placed = _placed(p.positive_masks, sequences)
+    for wanted in ASKED:
+        expected = [sum((b & wanted) >> t & 1 for b in bits) for t in range(len(THETAS))]
+        assert _supports(p, placed, wanted) == expected
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 10**6))
+def test_existence_search_agrees_with_the_witness_search(seed):
+    # Three or more positives, so the backward pass builds levels before the
+    # first positive's, where the existence form may stop.
+    rng = random.Random(seed)
+    p, s = long_pair(rng)
+    while len(p.positives) < 3:
+        p, s = long_pair(rng)
+    first = _earliest(p.positive_masks, s.masks)
+    if first is None:
+        return
+    last = _latest(p.positive_masks, s.masks)
+    for test in _TESTS:
+        tests = _slot_tests(p, test)
+        witness = _first_passing(p.positive_masks, tests, s.masks, first, last)
+        exists = _first_passing(p.positive_masks, tests, s.masks, first, last, False)
+        assert exists is (None if witness is None else True)
 
 
 @settings(max_examples=150)
@@ -505,6 +555,21 @@ class TestContains:
             assert (report.witness, report.violator) == ((1, 3), (1, 4))
             assert report.contained == (theta.occurrence is Occurrence.WEAK)
 
+    def test_existence_search_stops_only_at_the_first_positive(self, abc_dict):
+        # c at 3 passes the second slot, but no a passes the first: b sits
+        # in every gap before c. Only the first positive's level can end the
+        # existence search with an answer.
+        p = parse_pattern("<a !b c !d e>", abc_dict)
+        s = parse_sequence("a b c e", abc_dict)
+        first = _earliest(p.positive_masks, s.masks)
+        last = _latest(p.positive_masks, s.masks)
+        for test in _TESTS:
+            tests = _slot_tests(p, test)
+            assert _first_passing(p.positive_masks, tests, s.masks, first, last, False) is None
+        assert theta_bits(p, s) == 0
+        db = SequenceDatabase((s,), abc_dict)
+        assert all_theta_supports(p, db) == (0,) * len(THETAS)
+
     def test_blocked_sequence_fails_all_eight(self, abc_dict):
         p = parse_pattern("<a !(b c) d>", abc_dict)
         s = parse_sequence("a (b c) e d", abc_dict)
@@ -542,6 +607,20 @@ class TestSupport:
     def test_rule_premise_support(self, fig1_db):
         p = parse_pattern("<a !b c d>", fig1_db.dictionary)
         assert support(p, fig1_db, Theta.parse("weak-strict-total")) == 3
+
+    def test_each_relation_searches_with_its_own_slot_test(self, abc_dict):
+        # In the first sequence only the later placement (4, 6) passes
+        # strict-partial. In the second, b alone in the gap passes both
+        # partial tests and fails total. A count over both must run each
+        # weak search under the slot test of its own relation.
+        p = parse_pattern("<a !(b c) d>", abc_dict)
+        db = SequenceDatabase(
+            (parse_sequence("a b c a b d", abc_dict), parse_sequence("a b d", abc_dict)),
+            abc_dict,
+        )
+        assert all_theta_supports(p, db) == (1, 2, 2, 2, 0, 0, 0, 0)
+        for theta in THETAS:
+            assert support(p, db, theta) == all_theta_supports(p, db)[theta.index]
 
     def test_empty_database(self):
         d = Dictionary("ab")
