@@ -12,9 +12,9 @@ bruteforce miner use it. Every relation needs the positive part to embed,
 so a support count decides a pattern only in the sequences that
 :func:`_placed` finds for its positives, from the placements found there;
 the bruteforce miner finds them once for a run of candidates with the same
-positives. A count decides every sequence from one :func:`_plan` per
-pattern, which holds what depends on the pattern alone; a single decision
-works nothing out ahead. A weak decision asks only whether a passing
+positives. A decision works from a :func:`_plan`, which keeps each weak
+search's list once a search has built it; a count decides every sequence
+of a pattern from one plan. A weak decision asks only whether a passing
 placement exists, and never builds the witness that :func:`contains`
 reports. The vertical engine, ``_Layout``, decides patterns against a list
 of sequences laid out as one bit string: :func:`theta_masks` builds
@@ -175,12 +175,6 @@ def gap_union(s: Sequence, e: Embedding, slot: int) -> Itemset:
 # The slot test a pinned mode applies. TOTAL tests as strict, which equals
 # soft under total non-inclusion.
 _MODE_TEST = {NegMode.STRICT_PARTIAL: 1, NegMode.SOFT_PARTIAL: 2, NegMode.TOTAL: 4}
-# The slot test of a slot's pin: a pinned mode, or the test that a plan
-# resolved it to. An int key hashes in C; an Enum member runs Python code.
-_PIN_TEST = {**_MODE_TEST, 1: 1, 2: 2, 4: 4}
-# Constrained slots as (slot, mask, pin), the pin None where the slot
-# applies the relation's test.
-_Slots = tuple[tuple[int, int, NegMode | int | None], ...]
 
 # The slot test each (embedding, non-inclusion) combo of COMBOS applies:
 # strict-total and soft-total test the same.
@@ -202,17 +196,15 @@ def _ruled_out(qmask: int, test: int, smask: int) -> int:
 
 
 def _passes(
-    slots: _Slots, test: int, seq_masks: tuple[int, ...], lo: list[int], hi: list[int]
+    p: NegPattern, test: int, seq_masks: tuple[int, ...], lo: list[int], hi: list[int]
 ) -> bool:
-    """Does every constrained slot i pass on the gap from ``lo[i]`` to
-    ``hi[i + 1]`` (0-based, exclusive)? ``slots`` holds (slot, mask, pin)
-    as ``NegPattern.constrained_slots`` does, or with each pin resolved to
-    its test by :func:`_plan`. Each slot applies its pin's test, or
-    ``test`` where it has none. With ``lo`` and ``hi`` both one placement
-    this checks that placement; with the earliest and latest ones, the
-    widest gaps."""
-    for i, qmask, pin in slots:
-        slot_test = _PIN_TEST[pin] if pin else test
+    """Does every constrained slot i of ``p`` pass on the gap from ``lo[i]``
+    to ``hi[i + 1]`` (0-based, exclusive)? Each slot applies ``test``, or
+    its pinned mode's own. With ``lo`` and ``hi`` both one placement this
+    checks that placement; with the earliest and latest ones, the widest
+    gaps."""
+    for i, qmask, mode in p.constrained_slots:
+        slot_test = _MODE_TEST[mode] if mode else test
         covered = 0
         for smask in seq_masks[lo[i] + 1 : hi[i + 1]]:
             covered |= _ruled_out(qmask, slot_test, smask)
@@ -262,7 +254,7 @@ def check_embedding(
     _require_positive_embedding(e, p, seq_masks)
     test = _COMBO_TEST[COMBOS.index((embedding, nonincl))]
     index = [position - 1 for position in e]
-    return _passes(p.constrained_slots, test, seq_masks, index, index)
+    return _passes(p, test, seq_masks, index, index)
 
 
 # --- the linear-time core ---------------------------------------------------
@@ -416,10 +408,10 @@ _TEST_BITS = {
 }
 _ALL_BITS = (1 << len(THETAS)) - 1
 
-# What :func:`_decide` works from: the relation bits it settles, the
-# constrained slots, :func:`_steps` for those bits, and per slot test the
-# weak search's list, which the first search under that test builds.
-_Plan = tuple[int, _Slots, tuple[tuple[int, int, int], ...], dict[int, list]]
+# What :func:`_decide` works from: the relation bits it settles,
+# :func:`_steps` for those bits, and per slot test the weak search's list,
+# which the first search under that test builds.
+_Plan = tuple[int, tuple[tuple[int, int, int], ...], dict[int, list]]
 
 
 @cache
@@ -433,15 +425,11 @@ def _steps(wanted: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def _plan(p: NegPattern, wanted: int) -> _Plan:
-    """The plan for deciding ``p`` under the relations of ``wanted`` in many
-    sequences: what depends on the pattern alone, worked out once. Pinned
-    modes are resolved to their slot tests here, and each weak search's
-    list is built once for all the sequences."""
-    slots = tuple(
-        [(i, qmask, _MODE_TEST[mode] if mode else None) for i, qmask, mode in p.constrained_slots]
-    )
-    return wanted, slots, _steps(wanted), {}
+def _plan(wanted: int) -> _Plan:
+    """A plan for deciding one pattern under the relations of ``wanted``:
+    the steps are shared, and each weak search's list is built by the
+    first search that needs it and kept for every later sequence."""
+    return wanted, _steps(wanted), {}
 
 
 def _decide(
@@ -454,9 +442,8 @@ def _decide(
     """Containment under each relation that ``plan`` settles, each decided
     from its own slot test, given that the positives embed: ``first`` is
     their earliest placement and ``last`` their latest, or None to find it
-    when a test first needs it. A count over many sequences passes
-    :func:`_plan`'s plan; a single decision passes the pattern's own
-    constrained slots and a fresh dict for the weak searches' lists.
+    when a test first needs it. A count decides every sequence from one
+    :func:`_plan`, so a weak search's list is built once per pattern.
 
     Strong: every embedding passes a slot iff the widest gap any embedding
     gives it passes, from the earliest placement of the positive before the
@@ -465,17 +452,17 @@ def _decide(
     :func:`_first_passing` finds one that does, with no witness. Returns the
     relation bits, 0 outside the plan's.
     """
-    wanted, slots, steps, searches = plan
-    if not slots:
+    wanted, steps, searches = plan
+    if not p.constrained_slots:
         return wanted
     pos_masks = p.positive_masks
     bits = 0
     for test, strong, weak in steps:
         if strong:
             last = last or _latest(pos_masks, seq_masks)
-            if _passes(slots, test, seq_masks, first, last):
+            if _passes(p, test, seq_masks, first, last):
                 bits |= strong
-        if weak and not _passes(slots, test, seq_masks, first, first):
+        if weak and not _passes(p, test, seq_masks, first, first):
             last = last or _latest(pos_masks, seq_masks)
             tests = searches.get(test)
             if tests is None:
@@ -533,7 +520,7 @@ def contains(p: NegPattern, s: Sequence, theta: Theta) -> MatchReport:
     test = _COMBO_TEST[theta.combo_index]
     tests = _slot_tests(p, test)
     lexfirst = tuple(j + 1 for j in first)
-    if _passes(p.constrained_slots, test, seq_masks, first, first):
+    if _passes(p, test, seq_masks, first, first):
         witness = lexfirst
         violator = _first_failing(pos_masks, tests, seq_masks, first, last)
     else:
@@ -552,11 +539,7 @@ def is_contained(p: NegPattern, s: Sequence, theta: Theta) -> bool:
     """Boolean form of :func:`contains`, without the reporting."""
     seq_masks = s.masks
     first = _earliest(p.positive_masks, seq_masks)
-    if first is None:
-        return False
-    t = theta.index
-    plan = (1 << t, p.constrained_slots, _steps(1 << t), {})
-    return _decide(p, seq_masks, plan, first, None) != 0
+    return first is not None and _decide(p, seq_masks, _plan(1 << theta.index), first, None) != 0
 
 
 def theta_bits(p: NegPattern, s: Sequence) -> int:
@@ -567,10 +550,7 @@ def theta_bits(p: NegPattern, s: Sequence) -> int:
     """
     seq_masks = s.masks
     first = _earliest(p.positive_masks, seq_masks)
-    if first is None:
-        return 0
-    plan = (_ALL_BITS, p.constrained_slots, _steps(_ALL_BITS), {})
-    return _decide(p, seq_masks, plan, first, None)
+    return 0 if first is None else _decide(p, seq_masks, _plan(_ALL_BITS), first, None)
 
 
 # A sequence where the positives embed: its itemsets' masks, and their
@@ -597,7 +577,7 @@ def _supports(p: NegPattern, placed: list[_Placed], wanted: int) -> list[int]:
     :func:`_placed`'s list for the positives of ``p``, contain ``p`` under
     ``THETAS[t]``; 0 for the others. Every sequence is decided from one
     :func:`_plan`."""
-    plan = _plan(p, wanted)
+    plan = _plan(wanted)
     tally: dict[int, int] = {}  # how many sequences give each set of bits
     for seq_masks, first, last in placed:
         bits = _decide(p, seq_masks, plan, first, last)

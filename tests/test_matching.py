@@ -41,7 +41,6 @@ from negseq.matching import (
     _placed,
     _plan,
     _slot_tests,
-    _steps,
     _supports,
     theta_masks,
     weak_strong_support,
@@ -323,17 +322,14 @@ def test_contains_agrees_with_quantifier_expansion(seed):
         assert is_contained(p, s, theta) == expected
         assert bool((bits >> theta.index) & 1) == expected
     # A decision asked for part of the relations settles exactly what it
-    # wants. It finds the latest placement itself, or takes it found. It
-    # works from a count's plan, with pinned modes resolved, or from a single
-    # decision's, which resolves each pin where it reads it.
+    # wants. It finds the latest placement itself, or takes it found.
     first = _earliest(p.positive_masks, s.masks)
     if first is None:
         assert bits == 0
         return
     for last in (None, _latest(p.positive_masks, s.masks)):
         for wanted in ASKED:
-            for plan in (_plan(p, wanted), (wanted, p.constrained_slots, _steps(wanted), {})):
-                assert _decide(p, s.masks, plan, first, last) == bits & wanted
+            assert _decide(p, s.masks, _plan(wanted), first, last) == bits & wanted
 
 
 @settings(max_examples=150)
