@@ -161,7 +161,7 @@ def make_itemset(tokens: Iterable[str], dictionary: Dictionary) -> Itemset:
     return Itemset.of(dictionary.id_of(token) for token in toks)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Sequence:
     """Ordered itemsets; positions are 1-based in all external reporting."""
 
@@ -169,8 +169,10 @@ class Sequence:
     # The itemsets' bitmasks, built once for the matcher's inner loops.
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        itemsets = tuple(self.itemsets)
+    # Written by hand: the generated one stores ``itemsets`` and then
+    # __post_init__ stores it again, and a load builds one Sequence per line.
+    def __init__(self, itemsets: Iterable[Itemset] = ()):
+        itemsets = tuple(itemsets)
         masks = tuple([it.mask for it in itemsets])
         if 0 in masks:
             position = masks.index(0) + 1

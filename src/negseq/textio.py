@@ -16,17 +16,26 @@ Pattern grammar::
 it negates. ``!x`` and ``!(x y)`` leave the slot's evaluation to the
 pattern-level containment relation, ``!{x y}`` pins strict-partial evaluation
 for that slot and ``!|x y|`` pins total evaluation.
+
+A native database line is read with ``str`` methods, not token by token: it
+is split at each ``(``, each piece after the first at its first ``)``, and
+the pieces at whitespace. Each item token is looked up in the parse's token
+table, which registers an unseen token through ``Dictionary.add``; its
+``check_token`` rejects a token that holds a reserved character, such as a
+stray ``)``. A line the reader rejects is scanned again with ``_TOKEN``, one
+token at a time, and that scan only words the error: the first token that
+does not fit, with its line and column.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from .model import (
     Dictionary,
     ITEM_TOKEN,
+    InvalidTokenError,
     Itemset,
     NegMode,
     NegPattern,
@@ -197,15 +206,28 @@ def render_sequence(sequence: Sequence, dictionary: Dictionary) -> str:
     return " ".join(parts)
 
 
-def _token_column(text: str, index: int) -> int:
-    """1-based column of the ``index``-th token of ``text``."""
-    return next(islice(_TOKEN.finditer(text), index, None)).start() + 1
+class _Singletons(dict):
+    """Token -> one-item Itemset; an unseen token is registered on lookup.
+
+    ``Dictionary.add`` checks the token first, so a token that holds a
+    reserved character raises InvalidTokenError and is never stored.
+    """
+
+    __slots__ = ("dictionary",)
+
+    def __init__(self, dictionary: Dictionary):
+        self.dictionary = dictionary
+
+    def __missing__(self, token: str) -> Itemset:
+        found = self[token] = Itemset(1 << self.dictionary.add(token))
+        return found
 
 
 class _Interner:
     """One shared Itemset per distinct mask, for the lines of one parse.
 
-    Singletons are looked up by token, so a token seen before skips the
+    ``singletons`` maps a token to its one-item itemset and registers an
+    unseen token on lookup, so a token seen before never reaches the
     dictionary; every other itemset is looked up by its mask. Python hashes
     an int modulo 2**61 - 1, so the masks of items 61 apart collide; the mask
     table keys on the mask's width as well, which spreads them.
@@ -215,14 +237,8 @@ class _Interner:
 
     def __init__(self, dictionary: Dictionary):
         self.dictionary = dictionary
-        self.singletons: dict[str, Itemset] = {}
+        self.singletons = _Singletons(dictionary)
         self.itemsets: dict[tuple[int, int], Itemset] = {}
-
-    def singleton(self, token: str) -> Itemset:
-        found = self.singletons.get(token)
-        if found is None:
-            found = self.singletons[token] = Itemset(1 << self.dictionary.add(token))
-        return found
 
     def itemset(self, mask: int) -> Itemset:
         key = (mask.bit_length(), mask)
@@ -233,39 +249,64 @@ class _Interner:
 
 
 def _parse_native_line(line: str, lineno: int, interner: _Interner) -> Sequence:
-    itemsets: list[Itemset] = []
-    singletons = interner.singletons
-    mask = 0
-    last = None  # the itemset of the last item inside the brackets
-    opened = -1  # token index of the unclosed '(', if any
-    for index, token in enumerate(_TOKEN.findall(line)):
-        # Reserved characters are never items, so a hit is an item seen before.
-        itemset = singletons.get(token)
-        if itemset is None and token not in RESERVED_CHARS:
-            itemset = interner.singleton(token)
-        if itemset is not None:
-            if opened < 0:
-                itemsets.append(itemset)
-            else:
-                mask |= itemset.mask
-                last = itemset
-        elif token == "(" and opened < 0:
-            opened, mask = index, 0
-        elif token == ")" and opened >= 0:
-            if not mask:
-                raise EmptyItemsetError(
-                    "empty itemset '()'", lineno, _token_column(line, opened)
-                )
+    """Read one native line: split at each '(', then at the first ')' of
+    each piece, and look every item token up in ``interner.singletons``.
+
+    A line this reader rejects goes to :func:`_raise_native_error`, which
+    words the error.
+    """
+    lookup = interner.singletons.__getitem__
+    head, *groups = line.split("(")
+    try:
+        # A ')' outside a group stays inside a token, which the lookup rejects.
+        itemsets = list(map(lookup, head.split()))
+        for group in groups:
+            inside, closed, after = group.partition(")")
+            members = list(map(lookup, inside.split()))
+            # No ')' before the next '(' or the end of the line (an unclosed
+            # or nested group), or nothing between the brackets.
+            if not closed or not members:
+                break
+            mask = 0
+            for member in members:
+                mask |= member.mask
             # Brackets around one distinct item give that item's singleton.
+            last = members[-1]
             itemsets.append(last if mask == last.mask else interner.itemset(mask))
-            opened = -1
+            itemsets.extend(map(lookup, after.split()))
         else:
-            raise DatabaseParseError(
-                f"unexpected {token!r}", lineno, _token_column(line, index)
-            )
-    if opened >= 0:
-        raise DatabaseParseError("unclosed '('", lineno, _token_column(line, opened))
-    return Sequence(tuple(itemsets))
+            return Sequence(tuple(itemsets))
+    except InvalidTokenError:
+        pass
+    _raise_native_error(line, lineno, interner.dictionary)
+
+
+def _raise_native_error(line: str, lineno: int, dictionary: Dictionary) -> NoReturn:
+    """Raise the error of the first token of ``line``, left to right, that
+    does not fit the native grammar, with its 1-based column.
+
+    The item tokens before that token are registered in ``dictionary`` in
+    order: the reader may have stopped short of some of them, and a rejected
+    line leaves the same dictionary behind wherever the reader stopped.
+    """
+    opened = 0  # column of the unclosed '(', if any
+    empty = False
+    for match in _TOKEN.finditer(line):
+        token, column = match.group(), match.start() + 1
+        if token not in RESERVED_CHARS:
+            dictionary.add(token)
+            empty = False
+        elif token == "(" and not opened:
+            opened, empty = column, True
+        elif token == ")" and opened:
+            if empty:
+                raise EmptyItemsetError("empty itemset '()'", lineno, opened)
+            opened = 0
+        else:
+            raise DatabaseParseError(f"unexpected {token!r}", lineno, column)
+    if opened:
+        raise DatabaseParseError("unclosed '('", lineno, opened)
+    raise AssertionError(f"line {lineno} was rejected but holds no error")
 
 
 def _parse_spmf_line(line: str, lineno: int, interner: _Interner) -> Sequence:
@@ -325,15 +366,18 @@ def parse_database(text: str, format: str = "native") -> SequenceDatabase:
 
 
 def load_database(path: str, format: str = "native") -> SequenceDatabase:
-    """Load a sequence database.
+    """Load a sequence database from a UTF-8 file; a leading byte-order mark
+    is dropped.
 
     native: one sequence per line, tokens as in the module docstring,
     multi-item itemsets parenthesized (``(b c) f a``), ``#`` starts a comment
-    line.
+    line. A line is read with ``str.split`` and table lookups, and a line that
+    reader rejects is scanned token by token to word the error (module
+    docstring).
     spmf: space-separated integer items, ``-1`` ends an itemset, ``-2`` ends
     the sequence. The dictionary is built in first-appearance order.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_database(handle.read(), format)
 
 

@@ -361,6 +361,65 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "unclosed-group-read-to-the-end",
+        # The native line reader takes a '(' with no ')' after it as a group
+        # that runs to the end of the line, or to the next '('.
+        "negseq/textio.py",
+        "            if not closed or not members:\n",
+        "            if not members:\n",
+        (
+            "tests/test_textio.py::TestNativeFormat::test_unclosed_itemset",
+            "tests/test_textio.py::TestNativeFormat::test_errors_carry_line_and_column",
+        ),
+    ),
+    Mutant(
+        "empty-group-reaches-the-mask",
+        # The native line reader lets '()' through to the mask of its
+        # members, which has none.
+        "negseq/textio.py",
+        "            if not closed or not members:\n",
+        "            if not closed:\n",
+        (
+            "tests/test_textio.py::TestNativeFormat::test_empty_itemset_error",
+            "tests/test_textio.py::TestNativeFormat::test_errors_carry_line_and_column",
+            "tests/test_textio.py::test_sequence_reader_agrees_with_the_token_rule",
+        ),
+    ),
+    Mutant(
+        "repeated-member-group-not-its-singleton",
+        # A group of one repeated item, such as '(a a)', gets an itemset of
+        # its own instead of the item's shared singleton.
+        "negseq/textio.py",
+        "itemsets.append(last if mask == last.mask else interner.itemset(mask))",
+        "itemsets.append(interner.itemset(mask))",
+        (
+            "tests/test_textio.py::test_each_distinct_mask_is_one_shared_itemset",
+            "tests/test_textio.py::test_database_reader_agrees_with_the_token_rule",
+        ),
+    ),
+    Mutant(
+        "error-scan-registers-no-items",
+        # Wording the error of a rejected line no longer registers the items
+        # before it, so parse_sequence leaves a different dictionary behind.
+        "negseq/textio.py",
+        "            dictionary.add(token)\n            empty = False\n",
+        "            empty = False\n",
+        (
+            "tests/test_textio.py::test_sequence_reader_agrees_with_the_token_rule",
+        ),
+    ),
+    Mutant(
+        "byte-order-mark-kept",
+        # A database file is read as plain UTF-8, so a byte-order mark
+        # becomes part of the first token.
+        "negseq/textio.py",
+        'encoding="utf-8-sig"',
+        'encoding="utf-8"',
+        (
+            "tests/test_textio.py::TestRoundTrips::test_byte_order_mark_is_not_part_of_the_first_token",
+        ),
+    ),
+    Mutant(
         "plan-reuses-one-slot-tests-list",
         # A plan gives every weak search the first list it built, whatever
         # that list's slot test.

@@ -229,6 +229,10 @@ class TestNativeFormat:
             ("a (b ¬ c)", 6, "unexpected '¬'"),
             ("a <b", 3, "unexpected '<'"),
             ("a (b c", 3, "unclosed '('"),
+            ("((a))", 2, "unexpected '('"),
+            ("(a b) c) d", 8, "unexpected ')'"),
+            ("a ( ) b", 3, "empty itemset '()'"),
+            ("(a,b) c", 3, "unexpected ','"),
         ],
     )
     def test_errors_carry_line_and_column(self, text, column, message):
@@ -315,6 +319,101 @@ def test_database_errors_point_into_their_line(text):
         assert 1 <= error.column <= len(line) + 1
 
 
+def read_line(line, lineno, ids):
+    """One native line as the token rule reads it: the masks of its
+    itemsets, or the (error class, message, line, column) of its first token
+    that does not fit. ``ids`` maps each item token seen so far to its id."""
+    masks, group = [], None  # group: [column of '(', mask] while open
+    for start, token in scan_tokens(line):
+        if token not in RESERVED_CHARS:
+            bit = 1 << ids.setdefault(token, len(ids))
+            if group is None:
+                masks.append(bit)
+            else:
+                group[1] |= bit
+        elif token == "(" and group is None:
+            group = [start + 1, 0]
+        elif token == ")" and group is not None:
+            if not group[1]:
+                return EmptyItemsetError, "empty itemset '()'", lineno, group[0]
+            masks.append(group[1])
+            group = None
+        else:
+            return DatabaseParseError, f"unexpected {token!r}", lineno, start + 1
+    if group is not None:
+        return DatabaseParseError, "unclosed '('", lineno, group[0]
+    return masks
+
+
+def read_database(text):
+    """``read_line`` over the lines of ``text``: (masks per sequence, ids),
+    or the first line's error."""
+    ids, sequences = {}, []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip() and not line.strip().startswith("#"):
+            read = read_line(line, lineno, ids)
+            if isinstance(read, tuple):
+                return read
+            sequences.append(tuple(read))
+    return sequences, ids
+
+
+def error_of(error):
+    return type(error), str(error).partition(": ")[2], error.line, error.column
+
+
+def shared_itemsets(sequences):
+    """The one Itemset of each mask in ``sequences``; fails where a mask has
+    two."""
+    shared = {}
+    for sequence in sequences:
+        for itemset in sequence:
+            assert shared.setdefault(itemset.mask, itemset) is itemset
+    return shared
+
+
+# Brackets in every arrangement, a group of one repeated item, a comment mark
+# and characters that end a line (or, inside one sequence text, separate
+# tokens).
+BRACKET_TEXT = st.lists(
+    st.sampled_from(
+        ["a", "b", "c", " ", "(", ")", "( )", "((", "))", "(a a)", "#", "\x85", "\x1c", "\n"]
+    ),
+    max_size=16,
+).map("".join)
+
+
+@given(st.one_of(PARSER_TEXT, BRACKET_TEXT))
+def test_database_reader_agrees_with_the_token_rule(text):
+    expected = read_database(text)
+    try:
+        db = parse_database(text)
+    except DatabaseParseError as error:
+        assert error_of(error) == expected
+        return
+    sequences, ids = expected
+    assert [s.masks for s in db.sequences] == sequences
+    assert list(db.dictionary) == list(ids)
+    shared_itemsets(db.sequences)
+
+
+@given(st.one_of(PARSER_TEXT, BRACKET_TEXT))
+def test_sequence_reader_agrees_with_the_token_rule(text):
+    # The whole text is one line, and the dictionary grows as it is read,
+    # up to the first error.
+    ids = {"b": 0, "a": 1}
+    expected = read_line(text, 1, ids)
+    dictionary = Dictionary("ba")
+    try:
+        sequence = parse_sequence(text, dictionary)
+    except DatabaseParseError as error:
+        assert error_of(error) == expected
+    else:
+        assert list(sequence.masks) == expected
+        shared_itemsets([sequence])
+    assert list(dictionary) == list(ids)
+
+
 class TestSpmfFormat:
     def test_basic_line(self):
         db = parse_database("1 2 -1 3 -1 -2\n", format="spmf")
@@ -359,12 +458,7 @@ class TestSpmfFormat:
     ],
 )
 def test_each_distinct_mask_is_one_shared_itemset(text, format, distinct):
-    db = parse_database(text, format)
-    shared = {}
-    for sequence in db.sequences:
-        for itemset in sequence:
-            assert shared.setdefault(itemset.mask, itemset) is itemset
-    assert len(shared) == distinct
+    assert len(shared_itemsets(parse_database(text, format).sequences)) == distinct
 
 
 class TestRoundTrips:
@@ -380,6 +474,20 @@ class TestRoundTrips:
         save_database(table1_db, str(path))
         again = load_database(str(path))
         assert again.sequences == table1_db.sequences
+
+    @pytest.mark.parametrize(
+        "text,format",
+        [("a b (a c)\nc a\n", "native"), ("1 -1 2 3 -1 -2\n3 -1 -2\n", "spmf")],
+        ids=["native", "spmf"],
+    )
+    def test_byte_order_mark_is_not_part_of_the_first_token(self, tmp_path, text, format):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        expected = load_database(str(plain), format)
+        again = load_database(str(marked), format)
+        assert again.sequences == expected.sequences
+        assert list(again.dictionary) == list(expected.dictionary)
 
     def test_load_unknown_format(self, tmp_path):
         path = tmp_path / "db.txt"
