@@ -99,7 +99,7 @@ def _iter_embeddings(
     while True:
         pmask = pos_masks[i]
         limit = n - last + i  # leave room for the positives after i
-        while j < limit and pmask & ~seq_masks[j]:
+        while j < limit and pmask & seq_masks[j] != pmask:
             j += 1
         if j < limit:
             j += 1
@@ -134,7 +134,7 @@ def _count_embeddings(
         count = 0
         end = len(ways) - 1
         for j in range(a, b + 1):
-            if not pmask & ~seq_masks[j]:
+            if pmask & seq_masks[j] == pmask:
                 x = j - 1 - lo
                 count += ways[x] if x < end else ways[end]
             placed.append(count)
@@ -191,7 +191,7 @@ def _ruled_out(qmask: int, test: int, smask: int) -> int:
     if test == 1:
         return qmask & smask
     if test == 2:
-        return 0 if qmask & ~smask else qmask
+        return qmask if qmask & smask == qmask else 0
     return qmask if qmask & smask else 0
 
 
@@ -228,7 +228,7 @@ def _require_positive_embedding(
             raise NotAPositiveEmbeddingError(
                 f"positions {e!r} are not strictly increasing within [1, {n}]"
             )
-        if positive.mask & ~seq_masks[position - 1]:
+        if positive.mask & seq_masks[position - 1] != positive.mask:
             raise NotAPositiveEmbeddingError(
                 f"positive itemset is not included at position {position}"
             )
@@ -275,7 +275,7 @@ def _earliest(
     n = len(seq_masks)
     index = []
     for pmask in pos_masks:
-        while j < n and pmask & ~seq_masks[j]:
+        while j < n and pmask & seq_masks[j] != pmask:
             j += 1
         if j == n:
             return None
@@ -291,7 +291,7 @@ def _latest(pos_masks: tuple[int, ...], seq_masks: tuple[int, ...]) -> list[int]
     for i in range(len(pos_masks) - 1, -1, -1):
         pmask = pos_masks[i]
         j -= 1
-        while pmask & ~seq_masks[j]:
+        while pmask & seq_masks[j] != pmask:
             j -= 1
         index[i] = j
     return index
@@ -332,19 +332,19 @@ def _first_passing(
     # an entry there completes through every later level.
     stop = -1 if witness else 0
     pmask = pos_masks[-1]
-    level = [j for j in range(first[-1], last[-1] + 1) if not pmask & ~seq_masks[j]]
+    level = [j for j in range(first[-1], last[-1] + 1) if pmask & seq_masks[j] == pmask]
     levels = [level]
     for i in range(len(pos_masks) - 2, -1, -1):
         pmask = pos_masks[i]
         if tests[i] is None:
-            found = [j for j in range(first[i], level[-1]) if not pmask & ~seq_masks[j]]
+            found = [j for j in range(first[i], level[-1]) if pmask & seq_masks[j] == pmask]
         else:
             qmask, test = tests[i]
             found = []
             r = len(level) - 1  # level[r] is the earliest entry after j
             covered = 0  # what the gap from j to level[r] rules out of qmask
             for j in range(level[r] - 1, first[i] - 1, -1):
-                if covered != qmask and not pmask & ~seq_masks[j]:
+                if covered != qmask and pmask & seq_masks[j] == pmask:
                     if i == stop:
                         return True
                     found.append(j)

@@ -9,7 +9,7 @@ and safe to share across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -161,27 +161,89 @@ def make_itemset(tokens: Iterable[str], dictionary: Dictionary) -> Itemset:
     return Itemset.of(dictionary.id_of(token) for token in toks)
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class Sequence:
-    """Ordered itemsets; positions are 1-based in all external reporting."""
+    """Ordered itemsets; positions are 1-based in all external reporting.
 
-    itemsets: tuple[Itemset, ...] = ()
-    # The itemsets' bitmasks, built once for the matcher's inner loops.
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    ``masks`` holds the itemsets' bitmasks, and the matcher, the miner and
+    the grid read nothing else. A sequence built from itemsets stores both.
+    One that a database load built (:meth:`of_masks`) stores only its masks,
+    and builds ``itemsets`` the first time it is read, from its load's table.
+    Either way ``==``, ``hash`` and ``repr`` go by the itemsets, as for a
+    frozen dataclass with the one field ``itemsets``.
+    """
 
-    # Written by hand: the generated one stores ``itemsets`` and then
-    # __post_init__ stores it again, and a load builds one Sequence per line.
+    # Not a dataclass: its fields would be slots, and an unset slot can
+    # only be filled on read through __getattr__, which slows every read of
+    # ``masks`` in the matcher's loops.
+    __slots__ = ("_itemsets", "masks", "_table")
+    __match_args__ = ("itemsets",)
+
     def __init__(self, itemsets: Iterable[Itemset] = ()):
         itemsets = tuple(itemsets)
         masks = tuple([it.mask for it in itemsets])
         if 0 in masks:
             position = masks.index(0) + 1
             raise ValueError(f"sequence itemset at position {position} is empty")
-        object.__setattr__(self, "itemsets", itemsets)
+        object.__setattr__(self, "_itemsets", itemsets)
         object.__setattr__(self, "masks", masks)
 
+    @classmethod
+    def of_masks(
+        cls, masks: tuple[int, ...], table: dict[tuple[int, int], Itemset]
+    ) -> "Sequence":
+        """A sequence of non-zero ``masks`` whose itemsets are built when
+        first read. ``table`` is shared by the sequences of one load, so each
+        distinct mask reads as one shared Itemset."""
+        sequence = object.__new__(cls)
+        object.__setattr__(sequence, "_itemsets", None)
+        object.__setattr__(sequence, "masks", masks)
+        object.__setattr__(sequence, "_table", table)
+        return sequence
+
+    @property
+    def itemsets(self) -> tuple[Itemset, ...]:
+        itemsets = self._itemsets
+        if itemsets is None:
+            table = self._table
+            built = []
+            for mask in self.masks:
+                # Python hashes an int modulo 2**61 - 1, so the masks of
+                # items 61 apart collide; the mask's width as well spreads
+                # them.
+                key = mask.bit_length(), mask
+                itemset = table.get(key)
+                if itemset is None:
+                    # One step, so a thread reading the same mask meanwhile
+                    # gets the same Itemset.
+                    itemset = table.setdefault(key, Itemset(mask))
+                built.append(itemset)
+            itemsets = tuple(built)
+            object.__setattr__(self, "_itemsets", itemsets)
+        return itemsets
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.itemsets == other.itemsets
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.itemsets,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(itemsets={self.itemsets!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Copies and pickles rebuild from the itemsets, loaded or not.
+        return type(self), (self.itemsets,)
+
     def __len__(self) -> int:
-        return len(self.itemsets)
+        return len(self.masks)
 
     def __iter__(self) -> Iterator[Itemset]:
         return iter(self.itemsets)

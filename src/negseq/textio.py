@@ -20,16 +20,24 @@ for that slot and ``!|x y|`` pins total evaluation.
 A native database line is read with ``str`` methods, not token by token: it
 is split at each ``(``, each piece after the first at its first ``)``, and
 the pieces at whitespace. Each item token is looked up in the parse's token
-table, which registers an unseen token through ``Dictionary.add``; its
-``check_token`` rejects a token that holds a reserved character, such as a
-stray ``)``. A line the reader rejects is scanned again with ``_TOKEN``, one
-token at a time, and that scan only words the error: the first token that
-does not fit, with its line and column.
+table, which maps it to its one-item mask ``1 << id`` and registers an unseen
+token through ``Dictionary.add``; its ``check_token`` rejects a token that
+holds a reserved character, such as a stray ``)``. A bracketed itemset ORs
+its members' masks. A line the reader rejects is scanned again with
+``_TOKEN``, one token at a time, and that scan only words the error: the
+first token that does not fit, with its line and column.
+
+Both database readers produce masks and nothing else: a loaded
+:class:`Sequence` builds its Itemsets when they are first read, from one
+mask -> Itemset table per parse, so each distinct mask of a database is one
+shared Itemset.
 """
 
 from __future__ import annotations
 
 import re
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, NoReturn
 
 from .model import (
@@ -207,7 +215,8 @@ def render_sequence(sequence: Sequence, dictionary: Dictionary) -> str:
 
 
 class _Singletons(dict):
-    """Token -> one-item Itemset; an unseen token is registered on lookup.
+    """Token -> one-item mask, ``1 << id``; an unseen token is registered on
+    lookup.
 
     ``Dictionary.add`` checks the token first, so a token that holds a
     reserved character raises InvalidTokenError and is never stored.
@@ -218,19 +227,19 @@ class _Singletons(dict):
     def __init__(self, dictionary: Dictionary):
         self.dictionary = dictionary
 
-    def __missing__(self, token: str) -> Itemset:
-        found = self[token] = Itemset(1 << self.dictionary.add(token))
+    def __missing__(self, token: str) -> int:
+        found = self[token] = 1 << self.dictionary.add(token)
         return found
 
 
 class _Interner:
-    """One shared Itemset per distinct mask, for the lines of one parse.
+    """The tables of one parse.
 
-    ``singletons`` maps a token to its one-item itemset and registers an
-    unseen token on lookup, so a token seen before never reaches the
-    dictionary; every other itemset is looked up by its mask. Python hashes
-    an int modulo 2**61 - 1, so the masks of items 61 apart collide; the mask
-    table keys on the mask's width as well, which spreads them.
+    ``singletons`` maps a token to its one-item mask and registers an unseen
+    token on lookup, so a token seen before never reaches the dictionary.
+    ``itemsets`` is the mask -> Itemset table that the parse's sequences
+    build their itemsets from when those are first read
+    (:meth:`Sequence.of_masks`); a parse itself builds no Itemset.
     """
 
     __slots__ = ("dictionary", "singletons", "itemsets")
@@ -239,13 +248,6 @@ class _Interner:
         self.dictionary = dictionary
         self.singletons = _Singletons(dictionary)
         self.itemsets: dict[tuple[int, int], Itemset] = {}
-
-    def itemset(self, mask: int) -> Itemset:
-        key = (mask.bit_length(), mask)
-        found = self.itemsets.get(key)
-        if found is None:
-            found = self.itemsets[key] = Itemset(mask)
-        return found
 
 
 def _parse_native_line(line: str, lineno: int, interner: _Interner) -> Sequence:
@@ -259,23 +261,18 @@ def _parse_native_line(line: str, lineno: int, interner: _Interner) -> Sequence:
     head, *groups = line.split("(")
     try:
         # A ')' outside a group stays inside a token, which the lookup rejects.
-        itemsets = list(map(lookup, head.split()))
+        masks = list(map(lookup, head.split()))
         for group in groups:
             inside, closed, after = group.partition(")")
-            members = list(map(lookup, inside.split()))
+            members = inside.split()
             # No ')' before the next '(' or the end of the line (an unclosed
             # or nested group), or nothing between the brackets.
             if not closed or not members:
                 break
-            mask = 0
-            for member in members:
-                mask |= member.mask
-            # Brackets around one distinct item give that item's singleton.
-            last = members[-1]
-            itemsets.append(last if mask == last.mask else interner.itemset(mask))
-            itemsets.extend(map(lookup, after.split()))
+            masks.append(reduce(or_, map(lookup, members)))
+            masks.extend(map(lookup, after.split()))
         else:
-            return Sequence(tuple(itemsets))
+            return Sequence.of_masks(tuple(masks), interner.itemsets)
     except InvalidTokenError:
         pass
     _raise_native_error(line, lineno, interner.dictionary)
@@ -309,17 +306,20 @@ def _raise_native_error(line: str, lineno: int, dictionary: Dictionary) -> NoRet
     raise AssertionError(f"line {lineno} was rejected but holds no error")
 
 
+# An spmf token: ASCII digits with an optional sign. int() alone would also
+# take underscores and non-ASCII digits.
+_SPMF_INTEGER = re.compile("[+-]?[0-9]+")
+
+
 def _parse_spmf_line(line: str, lineno: int, interner: _Interner) -> Sequence:
-    itemsets: list[Itemset] = []
+    singletons = interner.singletons
+    masks: list[int] = []
     mask = 0
     terminated = False
     for raw in line.split():
-        try:
-            value = int(raw)
-        except ValueError:
-            raise DatabaseParseError(
-                f"expected an integer, found {raw!r}", lineno
-            ) from None
+        if not _SPMF_INTEGER.fullmatch(raw):
+            raise DatabaseParseError(f"expected an integer, found {raw!r}", lineno)
+        value = int(raw)
         if terminated:
             raise DatabaseParseError("items after sequence terminator -2", lineno)
         if value == -2:
@@ -333,16 +333,16 @@ def _parse_spmf_line(line: str, lineno: int, interner: _Interner) -> Sequence:
                 raise EmptyItemsetError(
                     "empty itemset (consecutive -1 markers)", lineno
                 )
-            itemsets.append(interner.itemset(mask))
+            masks.append(mask)
             mask = 0
         elif value < 0:
             raise DatabaseParseError(f"unexpected marker {value}", lineno)
         else:
             # Keyed by value, so "01", "+1" and "1" are one item.
-            mask |= 1 << interner.dictionary.add(str(value))
+            mask |= singletons[str(value)]
     if not terminated:
         raise DatabaseParseError("sequence not terminated with -2", lineno)
-    return Sequence(tuple(itemsets))
+    return Sequence.of_masks(tuple(masks), interner.itemsets)
 
 
 def parse_sequence(text: str, dictionary: Dictionary) -> Sequence:
@@ -375,7 +375,9 @@ def load_database(path: str, format: str = "native") -> SequenceDatabase:
     reader rejects is scanned token by token to word the error (module
     docstring).
     spmf: space-separated integer items, ``-1`` ends an itemset, ``-2`` ends
-    the sequence. The dictionary is built in first-appearance order.
+    the sequence. An integer is ASCII digits with an optional sign, and an
+    item is keyed by its value, so ``01``, ``+1`` and ``1`` are one item. The
+    dictionary is built in first-appearance order.
     """
     with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_database(handle.read(), format)

@@ -230,6 +230,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "soft-partial-inclusion-reversed",
+        # The soft-partial slot test asks whether the gap itemset is inside
+        # the negative, not the negative inside the gap itemset.
+        "negseq/matching.py",
+        "        return qmask if qmask & smask == qmask else 0\n",
+        "        return qmask if qmask & smask == smask else 0\n",
+        (
+            "tests/test_orders.py::TestSuites::test_invariant_harness",
+            "tests/test_matching.py::test_vertical_engine_agrees_with_theta_bits",
+            "tests/test_mining.py::TestPruned"
+            "::test_agrees_with_bruteforce_on_random_instances[weak-soft-partial]",
+        ),
+    ),
+    Mutant(
         "violator-slots-first-to-last",
         # The violator scan tries the slots first to last, so it returns a
         # failing placement that is not the lexicographically first one.
@@ -386,15 +400,27 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "repeated-member-group-not-its-singleton",
-        # A group of one repeated item, such as '(a a)', gets an itemset of
-        # its own instead of the item's shared singleton.
-        "negseq/textio.py",
-        "itemsets.append(last if mask == last.mask else interner.itemset(mask))",
-        "itemsets.append(interner.itemset(mask))",
+        "itemset-read-not-from-the-load-table",
+        # Reading a loaded sequence's itemsets builds a fresh Itemset for
+        # each mask instead of taking the one its load's table holds.
+        "negseq/model.py",
+        "                    itemset = table.setdefault(key, Itemset(mask))\n",
+        "                    itemset = Itemset(mask)\n",
         (
             "tests/test_textio.py::test_each_distinct_mask_is_one_shared_itemset",
             "tests/test_textio.py::test_database_reader_agrees_with_the_token_rule",
+        ),
+    ),
+    Mutant(
+        "sequence-equality-on-the-unread-slot",
+        # Sequences compare the slot that holds their itemsets once built,
+        # so a loaded sequence that nothing has read compares as no itemsets.
+        "negseq/model.py",
+        "            return self.itemsets == other.itemsets\n",
+        "            return self._itemsets == other._itemsets\n",
+        (
+            "tests/test_textio.py::test_loaded_sequences_equal_their_rebuilt_form",
+            "tests/test_textio.py::test_spmf_sequences_equal_their_rebuilt_form",
         ),
     ),
     Mutant(

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 import sys
 
@@ -22,7 +24,7 @@ from negseq import (
     positive_part,
 )
 from negseq.model import check_token
-from negseq.textio import parse_pattern, render_pattern
+from negseq.textio import parse_database, parse_pattern, render_pattern
 
 
 class TestTokens:
@@ -128,6 +130,14 @@ class TestSequence:
 
     def test_empty_sequence_allowed(self):
         assert len(Sequence(())) == 0
+
+    def test_copies_and_pickles_equal_the_original(self):
+        built = Sequence((Itemset.of([0]), Itemset.of([0, 1])))
+        # A loaded sequence whose itemsets nothing has read yet.
+        loaded = parse_database("a (a b)\n").sequences[0]
+        for sequence in (built, loaded):
+            assert copy.copy(sequence) == sequence == built
+            assert pickle.loads(pickle.dumps(sequence)) == built
 
 
 class TestNegPattern:

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -448,6 +450,79 @@ class TestSpmfFormat:
         db = parse_database("01 -1 +1 -1 1 -1 -2\n", format="spmf")
         assert list(db.dictionary) == ["1"]
         assert db.sequences[0].masks == (1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "text,token",
+        [
+            ("1_000 -1 ١ -1 -2", "1_000"),
+            ("1 -1 ١ -1 -2", "١"),
+            ("2 １ -1 -2", "１"),
+            ("1 -1 -_2", "-_2"),
+        ],
+    )
+    def test_integers_are_ascii_digits(self, text, token):
+        # int() alone takes underscores and any Unicode decimal digit.
+        with pytest.raises(DatabaseParseError) as info:
+            parse_database(text + "\n", format="spmf")
+        assert str(info.value) == f"line 1: expected an integer, found {token!r}"
+
+
+def assert_same_as_rebuilt(sequence):
+    """``sequence`` cannot be assigned to, and it equals, hashes and prints
+    as the Sequence rebuilt by hand from its masks."""
+    # Before anything reads the itemsets of a loaded sequence.
+    for name in ("itemsets", "masks"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(sequence, name, ())
+    itemsets = tuple(Itemset(mask) for mask in sequence.masks)
+    rebuilt = Sequence(itemsets)
+    assert sequence == rebuilt and rebuilt == sequence
+    assert hash(sequence) == hash(rebuilt) == hash((itemsets,))
+    assert repr(sequence) == repr(rebuilt)
+    assert len(sequence) == len(itemsets) and tuple(sequence) == itemsets
+
+
+@given(st.one_of(PARSER_TEXT, BRACKET_TEXT))
+def test_loaded_sequences_equal_their_rebuilt_form(text):
+    try:
+        db = parse_database(text)
+    except DatabaseParseError:
+        return
+    for sequence in db.sequences:
+        assert_same_as_rebuilt(sequence)
+
+
+@given(st.one_of(PARSER_TEXT, BRACKET_TEXT))
+def test_parsed_sequence_equals_its_rebuilt_form(text):
+    try:
+        sequence = parse_sequence(text, Dictionary())
+    except DatabaseParseError:
+        return
+    assert_same_as_rebuilt(sequence)
+
+
+# spmf lines of one to three items an itemset, in several spellings, or
+# text over digits, signs and the characters int() takes beyond them.
+SPMF_TEXT = st.one_of(
+    st.lists(
+        st.lists(
+            st.lists(st.sampled_from(["1", "2", "01", "+2", "30"]), min_size=1, max_size=3),
+            max_size=4,
+        ).map(lambda itemsets: "".join(" ".join(items) + " -1 " for items in itemsets) + "-2"),
+        max_size=4,
+    ).map("\n".join),
+    st.text(st.sampled_from(["1", "2", "0", "+", "-", "_", "١", " ", "\n"])),
+)
+
+
+@given(SPMF_TEXT)
+def test_spmf_sequences_equal_their_rebuilt_form(text):
+    try:
+        db = parse_database(text, format="spmf")
+    except DatabaseParseError:
+        return
+    for sequence in db.sequences:
+        assert_same_as_rebuilt(sequence)
 
 
 @pytest.mark.parametrize(
