@@ -22,6 +22,7 @@ import argparse
 import functools
 import importlib
 import sys
+from typing import Iterator
 
 from .matching import all_theta_supports, contains, support, theta_bits
 from .model import (
@@ -168,35 +169,52 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_match(args) -> int:
-    if args.all_thetas and args.explain:
-        raise ValueError("--explain needs --theta; --all-thetas prints no embeddings")
-    db = load_database(args.db, args.db_format)
-    pattern = parse_pattern(args.pattern, db.dictionary)
-    out = sys.stdout
-    if args.all_thetas:
-        print(csv_row(["seq"] + [t.spell() for t in THETAS]), file=out)
-        for index, sequence in enumerate(db.sequences, start=1):
-            bits = theta_bits(pattern, sequence)
-            cells = [str(index)] + [
-                str(bool((bits >> t) & 1)).lower() for t in range(len(THETAS))
-            ]
-            print(csv_row(cells), file=out)
-        return 0
-    theta = Theta.parse(args.theta)
-    header = ["seq", "contained"] + (["detail"] if args.explain else [])
-    print(csv_row(header), file=out)
-    for index, sequence in enumerate(db.sequences, start=1):
+@functools.cache
+def _verdict_cells() -> tuple[str, ...]:
+    """Per set of relation bits, as :func:`theta_bits` returns them, the
+    eight verdict cells of a ``match --all-thetas`` row. Built on first use,
+    so importing this module stays cheap."""
+    return tuple(
+        ",".join("true" if bits >> t & 1 else "false" for t in range(len(THETAS)))
+        for bits in range(1 << len(THETAS))
+    )
+
+
+def _match_rows(pattern, sequences, theta: Theta, explain: bool) -> Iterator[str]:
+    """The lines of ``match --theta``, one per sequence."""
+    for index, sequence in enumerate(sequences, start=1):
         report = contains(pattern, sequence, theta)
         cells = [str(index), str(report.contained).lower()]
-        if args.explain:
+        if explain:
             if report.witness is None and report.violator is None:
                 cells.append("no-positive-embedding")
             elif report.contained:
                 cells.append(f"witness={_embedding_text(report.witness)}")
             else:
                 cells.append(f"violator={_embedding_text(report.violator)}")
-        print(csv_row(cells), file=out)
+        yield csv_row(cells) + "\n"
+
+
+def _cmd_match(args) -> int:
+    if args.all_thetas and args.explain:
+        raise ValueError("--explain needs --theta; --all-thetas prints no embeddings")
+    db = load_database(args.db, args.db_format)
+    pattern = parse_pattern(args.pattern, db.dictionary)
+    if args.all_thetas:
+        header = ["seq"] + [t.spell() for t in THETAS]
+        cells = _verdict_cells()
+        rows = (
+            f"{index},{cells[theta_bits(pattern, sequence)]}\n"
+            for index, sequence in enumerate(db.sequences, start=1)
+        )
+    else:
+        theta = Theta.parse(args.theta)
+        header = ["seq", "contained"] + (["detail"] if args.explain else [])
+        rows = _match_rows(pattern, db.sequences, theta, args.explain)
+    # The rows stream: each is written as it is decided.
+    out = sys.stdout
+    out.write(csv_row(header) + "\n")
+    out.writelines(rows)
     return 0
 
 

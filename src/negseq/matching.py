@@ -576,12 +576,17 @@ def _supports(p: NegPattern, placed: list[_Placed], wanted: int) -> list[int]:
     """Per relation t of ``wanted``, how many of the ``placed`` sequences,
     :func:`_placed`'s list for the positives of ``p``, contain ``p`` under
     ``THETAS[t]``; 0 for the others. Every sequence is decided from one
-    :func:`_plan`."""
-    plan = _plan(wanted)
+    :func:`_plan`; with no sequence or no constrained slot there is
+    nothing to decide and no plan is built."""
     tally: dict[int, int] = {}  # how many sequences give each set of bits
-    for seq_masks, first, last in placed:
-        bits = _decide(p, seq_masks, plan, first, last)
-        tally[bits] = tally.get(bits, 0) + 1
+    if not placed or not p.constrained_slots:
+        # Every placed sequence contains ``p`` under every relation.
+        tally[wanted] = len(placed)
+    else:
+        plan = _plan(wanted)
+        for seq_masks, first, last in placed:
+            bits = _decide(p, seq_masks, plan, first, last)
+            tally[bits] = tally.get(bits, 0) + 1
     counts = [0] * len(THETAS)
     for bits, count in tally.items():
         while bits:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 RESERVED_CHARS = frozenset("(){}|!<>,#¬")
@@ -67,7 +69,15 @@ class Dictionary:
         existing = self._ids.get(token)
         if existing is not None:
             return existing
-        check_token(token)
+        return self._add_valid(check_token(token))
+
+    def _add_valid(self, token: str) -> int:
+        """:meth:`add` without the :func:`check_token` call, for a reader
+        that has already checked what it passes (``textio``'s token
+        table)."""
+        existing = self._ids.get(token)
+        if existing is not None:
+            return existing
         item = len(self._tokens)
         self._ids[token] = item
         self._tokens.append(token)
@@ -432,19 +442,30 @@ THETAS: tuple[Theta, ...] = tuple(
 
 @dataclass(frozen=True, slots=True)
 class SequenceDatabase:
-    """Ordered collection of sequences sharing one item dictionary."""
+    """Ordered collection of sequences sharing one item dictionary.
+
+    Construction checks that every item id of every sequence has a token in
+    the dictionary, so no mask reaches ``1 << len(dictionary)``, and raises
+    ValueError naming the first sequence that fails.
+    """
 
     sequences: tuple[Sequence, ...]
     dictionary: Dictionary
 
     def __post_init__(self):
-        object.__setattr__(self, "sequences", tuple(self.sequences))
+        sequences = tuple(self.sequences)
+        object.__setattr__(self, "sequences", sequences)
         bound = 1 << len(self.dictionary)
-        for index, sequence in enumerate(self.sequences, start=1):
-            if max(sequence.masks, default=0) >= bound:
-                raise ValueError(
-                    f"sequence {index} uses items missing from the dictionary"
-                )
+        # One C-level pass over every mask; the failing sequence is looked
+        # for only when the check fails.
+        masks = chain.from_iterable(map(attrgetter("masks"), sequences))
+        if max(masks, default=0) >= bound:
+            index = next(
+                index
+                for index, sequence in enumerate(sequences, start=1)
+                if max(sequence.masks, default=0) >= bound
+            )
+            raise ValueError(f"sequence {index} uses items missing from the dictionary")
 
     def __len__(self) -> int:
         return len(self.sequences)

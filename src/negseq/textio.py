@@ -17,15 +17,17 @@ it negates. ``!x`` and ``!(x y)`` leave the slot's evaluation to the
 pattern-level containment relation, ``!{x y}`` pins strict-partial evaluation
 for that slot and ``!|x y|`` pins total evaluation.
 
-A native database line is read with ``str`` methods, not token by token: it
-is split at each ``(``, each piece after the first at its first ``)``, and
-the pieces at whitespace. Each item token is looked up in the parse's token
-table, which maps it to its one-item mask ``1 << id`` and registers an unseen
-token through ``Dictionary.add``; its ``check_token`` rejects a token that
-holds a reserved character, such as a stray ``)``. A bracketed itemset ORs
-its members' masks. A line the reader rejects is scanned again with
-``_TOKEN``, one token at a time, and that scan only words the error: the
-first token that does not fit, with its line and column.
+A native database line is read with ``str`` methods, not token by token.
+One regex search rejects a line that holds a reserved character other than
+``(`` and ``)``. The line is split at each ``(``, each piece after the first
+at its first ``)``, and the pieces at whitespace; a ``)`` left in the piece
+before the first ``(`` or after a group's ``)`` rejects the line. A piece
+that passes these checks holds only valid item tokens, so the parse's token
+table maps each to its one-item mask ``1 << id`` and registers an unseen one
+with no ``check_token`` call. A bracketed itemset ORs its members' masks. A
+line the reader rejects is scanned again with ``_TOKEN``, one token at a
+time, and that scan only words the error: the first token that does not
+fit, with its line and column.
 
 Both database readers produce masks and nothing else: a loaded
 :class:`Sequence` builds its Itemsets when they are first read, from one
@@ -43,7 +45,6 @@ from typing import Iterable, Iterator, NoReturn
 from .model import (
     Dictionary,
     ITEM_TOKEN,
-    InvalidTokenError,
     Itemset,
     NegMode,
     NegPattern,
@@ -87,6 +88,12 @@ _NEG_BRACKETS = {"(": (")", None), "{": ("}", NegMode.STRICT_PARTIAL), "|": ("|"
 
 
 _TOKEN = re.compile(ITEM_TOKEN.pattern + "|\\S")
+
+# The reserved characters that a native line may not hold anywhere; the
+# reader finds misplaced brackets itself.
+_NON_BRACKET_RESERVED = re.compile(
+    "[" + re.escape("".join(sorted(RESERVED_CHARS - {"(", ")"}))) + "]"
+)
 
 
 def _read_items(
@@ -218,8 +225,9 @@ class _Singletons(dict):
     """Token -> one-item mask, ``1 << id``; an unseen token is registered on
     lookup.
 
-    ``Dictionary.add`` checks the token first, so a token that holds a
-    reserved character raises InvalidTokenError and is never stored.
+    Registration skips ``check_token``: the readers look up only tokens
+    they know to be valid, the native reader after its per-line checks
+    and the spmf reader the decimal digits of a non-negative int.
     """
 
     __slots__ = ("dictionary",)
@@ -228,7 +236,7 @@ class _Singletons(dict):
         self.dictionary = dictionary
 
     def __missing__(self, token: str) -> int:
-        found = self[token] = 1 << self.dictionary.add(token)
+        found = self[token] = 1 << self.dictionary._add_valid(token)
         return found
 
 
@@ -254,27 +262,27 @@ def _parse_native_line(line: str, lineno: int, interner: _Interner) -> Sequence:
     """Read one native line: split at each '(', then at the first ')' of
     each piece, and look every item token up in ``interner.singletons``.
 
-    A line this reader rejects goes to :func:`_raise_native_error`, which
-    words the error.
+    Every piece is checked before its tokens are looked up, so the lookups
+    only ever see valid tokens, and those a rejected line registers come
+    before its error. A line this reader rejects goes to
+    :func:`_raise_native_error`, which words the error.
     """
     lookup = interner.singletons.__getitem__
     head, *groups = line.split("(")
-    try:
-        # A ')' outside a group stays inside a token, which the lookup rejects.
+    # A ')' outside a group is a stray one.
+    if not _NON_BRACKET_RESERVED.search(line) and ")" not in head:
         masks = list(map(lookup, head.split()))
         for group in groups:
             inside, closed, after = group.partition(")")
             members = inside.split()
             # No ')' before the next '(' or the end of the line (an unclosed
-            # or nested group), or nothing between the brackets.
-            if not closed or not members:
+            # or nested group), nothing between the brackets, or a stray ')'.
+            if not closed or not members or ")" in after:
                 break
             masks.append(reduce(or_, map(lookup, members)))
             masks.extend(map(lookup, after.split()))
         else:
             return Sequence.of_masks(tuple(masks), interner.itemsets)
-    except InvalidTokenError:
-        pass
     _raise_native_error(line, lineno, interner.dictionary)
 
 
@@ -371,9 +379,10 @@ def load_database(path: str, format: str = "native") -> SequenceDatabase:
 
     native: one sequence per line, tokens as in the module docstring,
     multi-item itemsets parenthesized (``(b c) f a``), ``#`` starts a comment
-    line. A line is read with ``str.split`` and table lookups, and a line that
-    reader rejects is scanned token by token to word the error (module
-    docstring).
+    line. A line is checked for misplaced reserved characters once, read with
+    ``str.split`` and table lookups that register unseen tokens without a
+    per-token check, and a line that reader rejects is scanned token by token
+    to word the error (module docstring).
     spmf: space-separated integer items, ``-1`` ends an itemset, ``-2`` ends
     the sequence. An integer is ASCII digits with an optional sign, and an
     item is keyed by its value, so ``01``, ``+1`` and ``1`` are one item. The

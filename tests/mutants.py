@@ -379,8 +379,8 @@ MUTANTS = (
         # The native line reader takes a '(' with no ')' after it as a group
         # that runs to the end of the line, or to the next '('.
         "negseq/textio.py",
-        "            if not closed or not members:\n",
-        "            if not members:\n",
+        "            if not closed or not members or \")\" in after:\n",
+        "            if not members or \")\" in after:\n",
         (
             "tests/test_textio.py::TestNativeFormat::test_unclosed_itemset",
             "tests/test_textio.py::TestNativeFormat::test_errors_carry_line_and_column",
@@ -391,12 +391,79 @@ MUTANTS = (
         # The native line reader lets '()' through to the mask of its
         # members, which has none.
         "negseq/textio.py",
-        "            if not closed or not members:\n",
-        "            if not closed:\n",
+        "            if not closed or not members or \")\" in after:\n",
+        "            if not closed or \")\" in after:\n",
         (
             "tests/test_textio.py::TestNativeFormat::test_empty_itemset_error",
             "tests/test_textio.py::TestNativeFormat::test_errors_carry_line_and_column",
             "tests/test_textio.py::test_sequence_reader_agrees_with_the_token_rule",
+        ),
+    ),
+    Mutant(
+        "stray-close-bracket-after-a-group-read-as-a-token",
+        # The native line reader no longer rejects a ')' after a group's
+        # own, so the lookup registers a token that holds it.
+        "negseq/textio.py",
+        "            if not closed or not members or \")\" in after:\n",
+        "            if not closed or not members:\n",
+        (
+            "tests/test_textio.py::TestNativeFormat::test_errors_carry_line_and_column",
+            "tests/test_textio.py::TestNativeFormat"
+            "::test_rejected_sequence_registers_the_tokens_before_its_error",
+        ),
+    ),
+    Mutant(
+        "stray-close-bracket-before-any-group-read-as-a-token",
+        # The native line reader no longer rejects a ')' before the line's
+        # first '(', so the lookup registers a token that holds it.
+        "negseq/textio.py",
+        ' and ")" not in head:\n',
+        ":\n",
+        (
+            "tests/test_textio.py::TestNativeFormat::test_stray_reserved_character",
+            "tests/test_textio.py::TestNativeFormat"
+            "::test_rejected_sequence_registers_the_tokens_before_its_error",
+            "tests/test_textio.py::test_database_reader_agrees_with_the_token_rule",
+            "tests/test_textio.py::test_sequence_reader_agrees_with_the_token_rule",
+        ),
+    ),
+    Mutant(
+        "line-check-misses-a-reserved-character",
+        # The per-line search no longer looks for '!', so a token that holds
+        # one is registered.
+        "negseq/textio.py",
+        'RESERVED_CHARS - {"(", ")"}',
+        'RESERVED_CHARS - {"(", ")", "!"}',
+        (
+            "tests/test_textio.py::TestNativeFormat::test_errors_carry_line_and_column",
+            "tests/test_textio.py::TestNativeFormat"
+            "::test_rejected_sequence_registers_the_tokens_before_its_error",
+            "tests/test_textio.py::test_database_reader_agrees_with_the_token_rule",
+        ),
+    ),
+    Mutant(
+        "all-thetas-table-swaps-true-and-false",
+        # Every verdict cell of a match --all-thetas row reads the opposite
+        # of its relation bit.
+        "negseq/cli.py",
+        '"true" if bits >> t & 1 else "false"',
+        '"false" if bits >> t & 1 else "true"',
+        (
+            "tests/test_cli.py::test_match_all_thetas_matches_golden",
+            "tests/test_cli.py::TestMatchCommand::test_all_thetas_matrix",
+        ),
+    ),
+    Mutant(
+        "database-check-misses-the-top-item",
+        # The database's one-pass check lets through a mask of the first
+        # item id past the dictionary.
+        "negseq/model.py",
+        "        if max(masks, default=0) >= bound:\n",
+        "        if max(masks, default=0) > bound:\n",
+        (
+            "tests/test_model.py::TestSequenceDatabase::test_dictionary_covers_items",
+            "tests/test_model.py::TestSequenceDatabase"
+            "::test_sequences_without_itemsets_pass_the_check",
         ),
     ),
     Mutant(

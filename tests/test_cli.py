@@ -535,6 +535,40 @@ def test_mine_output_matches_golden(capsys, name, bounds, minsup, theta):
     assert f"exit {code}\n" + out + err == blocks[1 + theta.index]
 
 
+# The match goldens hold one block per pattern, each the exit code and
+# stdout; the explain golden holds, per pattern, one block per relation in
+# THETAS order. The first pattern pins no slot and the second pins one of
+# its two. Each gives witness=, violator= and no-positive-embedding rows
+# under most relations: no sequence violates either under the weak partial
+# relations, nor the first under strong-soft-partial.
+MATCH_PATTERNS = ("<b !(c d) a>", "<f !|a c| b !(a c) a>")
+
+
+def _match_blocks(name: str) -> list[str]:
+    text = (GOLDEN / f"match_small_{name}.txt").read_text()
+    return re.split(r"^(?=exit )", text, flags=re.M)[1:]
+
+
+@pytest.mark.parametrize("index, pattern", enumerate(MATCH_PATTERNS))
+def test_match_all_thetas_matches_golden(capsys, index, pattern):
+    code, out, _ = invoke(
+        capsys, "match", "--db", str(DATA / "mine_small.txt"), "--pattern", pattern,
+        "--all-thetas",
+    )
+    assert f"exit {code}\n" + out == _match_blocks("all_thetas")[index]
+
+
+@pytest.mark.parametrize("theta", THETAS, ids=lambda t: t.spell())
+@pytest.mark.parametrize("index, pattern", enumerate(MATCH_PATTERNS))
+def test_match_explain_matches_golden(capsys, index, pattern, theta):
+    code, out, _ = invoke(
+        capsys, "match", "--db", str(DATA / "mine_small.txt"), "--pattern", pattern,
+        "--theta", theta.spell(), "--explain",
+    )
+    block = _match_blocks("explain")[index * len(THETAS) + theta.index]
+    assert f"exit {code}\n" + out == block
+
+
 def _failing_reports():
     # One crafted failing check per case, in the default space's dictionary.
     d = Dictionary("abcdef")

@@ -227,6 +227,15 @@ class TestSequenceDatabase:
             SequenceDatabase((inside, outside, outside), d)
         assert str(info.value) == "sequence 2 uses items missing from the dictionary"
 
+    def test_sequences_without_itemsets_pass_the_check(self):
+        assert len(SequenceDatabase((), Dictionary())) == 0
+        empty = Sequence(())
+        db = SequenceDatabase((empty, Sequence((Itemset.of([0]),)), empty), Dictionary("a"))
+        assert len(db) == 3
+        with pytest.raises(ValueError) as info:
+            SequenceDatabase((empty, Sequence((Itemset.of([1]),))), Dictionary("a"))
+        assert str(info.value) == "sequence 2 uses items missing from the dictionary"
+
     def test_iteration(self, table1_db):
         assert len(table1_db) == 5
         assert len(list(table1_db)) == 5

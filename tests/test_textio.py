@@ -235,6 +235,9 @@ class TestNativeFormat:
             ("(a b) c) d", 8, "unexpected ')'"),
             ("a ( ) b", 3, "empty itemset '()'"),
             ("(a,b) c", 3, "unexpected ','"),
+            # Each reserved character other than the brackets, after new
+            # tokens in and out of a group.
+            *[(f"a (b c) d {ch}e", 11, f"unexpected {ch!r}") for ch in "{}|!>,#¬"],
         ],
     )
     def test_errors_carry_line_and_column(self, text, column, message):
@@ -242,6 +245,24 @@ class TestNativeFormat:
             parse_database(text)
         assert (info.value.line, info.value.column) == (1, column)
         assert str(info.value) == f"line 1, column {column}: {message}"
+
+    @pytest.mark.parametrize(
+        "text,column,message",
+        [
+            ("x y !z", 5, "unexpected '!'"),
+            # A stray ')' before any group, and one after a group's own.
+            ("x y) z", 4, "unexpected ')'"),
+            ("(x) y) z", 6, "unexpected ')'"),
+        ],
+    )
+    def test_rejected_sequence_registers_the_tokens_before_its_error(
+        self, text, column, message
+    ):
+        dictionary = Dictionary()
+        with pytest.raises(DatabaseParseError) as info:
+            parse_sequence(text, dictionary)
+        assert str(info.value) == f"line 1, column {column}: {message}"
+        assert list(dictionary) == ["x", "y"]
 
     def test_lines_split_as_str_splitlines(self):
         # A form feed ends a line, as it does for str.splitlines.
