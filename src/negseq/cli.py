@@ -24,7 +24,7 @@ import importlib
 import sys
 from typing import Iterator
 
-from .matching import all_theta_supports, contains, support, theta_bits
+from .matching import all_theta_supports, contains, is_contained, support, theta_bits
 from .model import (
     NegseqError,
     Theta,
@@ -181,18 +181,20 @@ def _verdict_cells() -> tuple[str, ...]:
 
 
 def _match_rows(pattern, sequences, theta: Theta, explain: bool) -> Iterator[str]:
-    """The lines of ``match --theta``, one per sequence."""
+    """The lines of ``match --theta``, one per sequence. Without ``explain``
+    no embedding is printed, so each sequence is only decided."""
     for index, sequence in enumerate(sequences, start=1):
+        if not explain:
+            yield f"{index},{str(is_contained(pattern, sequence, theta)).lower()}\n"
+            continue
         report = contains(pattern, sequence, theta)
-        cells = [str(index), str(report.contained).lower()]
-        if explain:
-            if report.witness is None and report.violator is None:
-                cells.append("no-positive-embedding")
-            elif report.contained:
-                cells.append(f"witness={_embedding_text(report.witness)}")
-            else:
-                cells.append(f"violator={_embedding_text(report.violator)}")
-        yield csv_row(cells) + "\n"
+        if report.witness is None and report.violator is None:
+            detail = "no-positive-embedding"
+        elif report.contained:
+            detail = f"witness={_embedding_text(report.witness)}"
+        else:
+            detail = f"violator={_embedding_text(report.violator)}"
+        yield csv_row([index, str(report.contained).lower(), detail]) + "\n"
 
 
 def _cmd_match(args) -> int:

@@ -13,10 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cache, partial
-from itertools import chain, combinations
+from functools import cache, partial, reduce
+from itertools import chain, combinations, repeat
 from math import ceil, log
-from operator import eq
+from operator import eq, or_
 from typing import Callable, Iterable, Iterator, Sequence as SequenceABC
 
 from .model import (
@@ -72,12 +72,6 @@ def _neg_masks(p: NegPattern) -> tuple[int, ...]:
     # The orders compare constraint itemsets only; slot modes have no defined
     # order theory and are ignored.
     return tuple([negative.itemset.mask for negative in p.negatives])
-
-
-def _positives_embed(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    # Each positive mask of a is a subset of a later one of b; leftmost first.
-    rest = iter(b)
-    return all(any(x & ~y == 0 for y in rest) for x in a)
 
 
 def _positives_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -148,12 +142,113 @@ _ORDER_FUNCS = {
 }
 
 
-# For each order, a relation on positive masks that the order implies.
-_POSITIVES_RELATED = {
-    OrderKind.EMBED_INCL: _positives_embed,
-    OrderKind.PREFIX_INCL: _positives_prefix,
-    OrderKind.NEG_EXT: eq,
-}
+def _union(bitsets: Iterable[int]) -> int:
+    return reduce(or_, bitsets, 0)
+
+
+def _set_bits(x: int, ids: list[int]) -> list[int]:
+    """``ids[j]`` for the set bits j of ``x >= 0``, ascending. Taking the ids
+    from one list shares each int object among the pairs that hold it."""
+    bits, found = bin(x)[:1:-1], []
+    j = bits.find("1")
+    while j >= 0:
+        found.append(ids[j])
+        j = bits.find("1", j + 1)
+    return found
+
+
+def _comparable(
+    patterns: list[NegPattern], order: OrderKind, nonincl: NonInclusion
+) -> tuple[tuple[int, int], ...]:
+    """Every pair ``(i, i2)`` with ``pattern_order(order, patterns[i],
+    patterns[i2], nonincl)``, in index order.
+
+    The patterns are indexed once as big-int bitsets over pattern indices,
+    and the partners of a pattern are a chain of ANDs and ORs of those sets
+    along its positives, minus the patterns that the order's equality clause
+    excludes. :func:`embed_incl`, :func:`prefix_incl` and :func:`neg_ext`
+    define the orders and are the tests' all-pairs oracle for this index.
+    """
+    embed, exact = order is OrderKind.EMBED_INCL, order is OrderKind.NEG_EXT
+    total = nonincl is NonInclusion.TOTAL
+    keys = [(p.positive_masks, _neg_masks(p)) for p in patterns]
+    # at[u][m]: the patterns whose positive u is m. spans[s, u][m]: the
+    # patterns whose slots s..u-1 union to m. same[key]: the patterns that a
+    # pattern of that key does not precede although the rest of the order
+    # holds: equal masks under embed-incl; equal length, last positive and
+    # negatives otherwise.
+    at: list[dict[int, int]] = []
+    spans: dict[tuple[int, int], dict[int, int]] = {}
+    same: dict[tuple, int] = {}
+
+    def same_key(b: tuple[int, ...], q2: tuple[int, ...]) -> tuple:
+        return (b, q2) if embed else (len(b), b[-1], q2)
+
+    for i, (b, q2) in enumerate(keys):
+        bit = 1 << i
+        for u, m in enumerate(b):
+            if u == len(at):
+                at.append({})
+            at[u][m] = at[u].get(m, 0) | bit
+        for s in range(len(q2)):
+            union = 0
+            for u in range(s + 1, len(b)):
+                union |= q2[u - 1]
+                cell = spans.setdefault((s, u), {})
+                cell[union] = cell.get(union, 0) | bit
+        key = same_key(b, q2)
+        same[key] = same.get(key, 0) | bit
+
+    @cache
+    def positive(u: int, v: int) -> int:
+        # The patterns whose positive u includes v (equals v, for neg-ext).
+        if exact:
+            return at[u].get(v, 0)
+        return _union(bits for m, bits in at[u].items() if not v & ~m)
+
+    @cache
+    def fits(s: int, u: int, v: int) -> int:
+        # The patterns whose slots s..u-1 union to a mask that negative v
+        # fits: a superset of v under total non-inclusion, a subset under
+        # partial.
+        cells = spans[s, u].items()
+        if total:
+            return _union(bits for m, bits in cells if not v & ~m)
+        return _union(bits for m, bits in cells if not m & ~v)
+
+    # reach(a, q)[u]: the patterns where positives a sit with the last on u
+    # and each negative of q fits the slots its gap spans. Positive i sits
+    # on u = i under prefix-incl and neg-ext, and under embed-incl on any u
+    # after some place s of positive i - 1 whose span to u fits: the
+    # existence of such a place is all that embed_incl's earliest or latest
+    # choice decides.
+    width = len(at)
+
+    def reach(a: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+        row = tuple(positive(u, a[0]) if embed or u == 0 else 0 for u in range(width))
+        for i in range(1, len(a)):
+            before, v, w = row, a[i], q[i - 1]
+            row = tuple(
+                positive(u, v)
+                & _union(before[s] & fits(s, u, w) for s in range(u) if before[s])
+                if embed or u == i
+                else 0
+                for u in range(width)
+            )
+        return row
+
+    ids = list(range(len(keys)))
+
+    def partners(a: tuple[int, ...], q: tuple[int, ...]) -> list[int]:
+        x = _union(reach(a, q)) & ~same[same_key(a, q)]
+        if exact and len(a) < width:
+            # Neg-ext needs equal positives: none after the last of a.
+            x &= ~_union(at[len(a)].values())
+        return _set_bits(x, ids)
+
+    return tuple(
+        chain.from_iterable(zip(repeat(i), partners(*key)) for i, key in zip(ids, keys))
+    )
 
 
 def pattern_order(
@@ -317,30 +412,15 @@ class ContainmentGrid:
     def comparable_pairs(
         self, order: OrderKind, order_nonincl: NonInclusion = NonInclusion.TOTAL
     ) -> tuple[tuple[int, int], ...]:
+        """Every pattern index pair ``(i, i2)`` with ``patterns[i]`` below
+        ``patterns[i2]`` in the order, in index order: the tuple that trying
+        every pair with :func:`pattern_order` gives. Built once per order
+        and variant from bitset indexes over the patterns, per positive
+        position and per span of slots (see :func:`_comparable`); the
+        per-pair functions are its oracle in the tests."""
         key = (order, order_nonincl)
         if key not in self._comparable:
-            fn, related = _ORDER_FUNCS[order], _POSITIVES_RELATED[order]
-            pats = self.patterns
-            # Every order first needs the positive parts to relate. So the
-            # patterns are indexed by positive part, the parts are related
-            # once, and each pattern is tried only against the patterns whose
-            # parts its own relates to, in index order: the same pairs in the
-            # same order as trying every pair.
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for i, p in enumerate(pats):
-                groups.setdefault(p.positive_masks, []).append(i)
-            candidates = {
-                a: sorted(chain.from_iterable(
-                    members for b, members in groups.items() if related(a, b)
-                ))
-                for a in groups
-            }
-            self._comparable[key] = tuple(
-                (i, i2)
-                for i, p in enumerate(pats)
-                for i2 in candidates[p.positive_masks]
-                if fn(p, pats[i2], order_nonincl)
-            )
+            self._comparable[key] = _comparable(self.patterns, order, order_nonincl)
         return self._comparable[key]
 
     def anti_monotonicity(

@@ -526,6 +526,78 @@ MUTANTS = (
             "tests/test_matching.py::test_decisions_agree_with_quantifier_expansion_on_long_inputs",
         ),
     ),
+    Mutant(
+        "pair-index-partial-fit-flipped",
+        # Under the partial variant a negative fits a span whose union
+        # includes it, as under the total variant, not one inside it.
+        "negseq/orders.py",
+        "        return _union(bits for m, bits in cells if not m & ~v)\n",
+        "        return _union(bits for m, bits in cells if not v & ~m)\n",
+        (
+            "tests/test_orders.py::TestComparablePairs"
+            "::test_default_space_equals_all_pairs_filter[OrderKind.EMBED_INCL-NonInclusion.PARTIAL]",
+            "tests/test_orders.py::TestComparablePairs"
+            "::test_default_space_equals_all_pairs_filter[OrderKind.PREFIX_INCL-NonInclusion.PARTIAL]",
+            "tests/test_orders.py::TestComparablePairs::test_random_spaces_equal_all_pairs_filter",
+            "tests/test_orders.py::test_comparable_pairs_equal_all_pairs_filter",
+        ),
+    ),
+    Mutant(
+        "pair-index-embed-keeps-equal-masks",
+        # Embed-incl no longer excludes the patterns with the same masks, so
+        # every pattern precedes itself.
+        "negseq/orders.py",
+        "        x = _union(reach(a, q)) & ~same[same_key(a, q)]\n",
+        "        x = _union(reach(a, q)) & ~(not embed and same[same_key(a, q)])\n",
+        (
+            "tests/test_orders.py::TestComparablePairs"
+            "::test_default_space_equals_all_pairs_filter[OrderKind.EMBED_INCL-NonInclusion.TOTAL]",
+            "tests/test_orders.py::TestComparablePairs::test_random_spaces_equal_all_pairs_filter",
+            "tests/test_orders.py::test_comparable_pairs_equal_all_pairs_filter",
+        ),
+    ),
+    Mutant(
+        "pair-index-embed-adjacent-places-only",
+        # Embed-incl places a positive only right after the previous one, so
+        # no positive of the larger pattern is skipped.
+        "negseq/orders.py",
+        "                & _union(before[s] & fits(s, u, w) for s in range(u) if before[s])\n",
+        "                & _union(before[s] & fits(s, u, w) for s in range(u - 1, u) if before[s])\n",
+        (
+            "tests/test_orders.py::TestComparablePairs"
+            "::test_default_space_equals_all_pairs_filter[OrderKind.EMBED_INCL-NonInclusion.TOTAL]",
+            "tests/test_orders.py::TestComparablePairs::test_random_spaces_equal_all_pairs_filter",
+            "tests/test_orders.py::test_comparable_pairs_equal_all_pairs_filter",
+        ),
+    ),
+    Mutant(
+        "pair-index-neg-ext-admits-longer",
+        # Neg-ext keeps the patterns that extend the positives with more,
+        # as prefix-incl does.
+        "negseq/orders.py",
+        "        if exact and len(a) < width:\n",
+        "        if False:\n",
+        (
+            "tests/test_orders.py::TestComparablePairs"
+            "::test_default_space_equals_all_pairs_filter[OrderKind.NEG_EXT-NonInclusion.TOTAL]",
+            "tests/test_orders.py::TestComparablePairs::test_random_spaces_equal_all_pairs_filter",
+            "tests/test_orders.py::test_comparable_pairs_equal_all_pairs_filter",
+        ),
+    ),
+    Mutant(
+        "pair-index-prefix-any-increasing-positions",
+        # Under prefix-incl a positive after the first may sit on any later
+        # position, as under embed-incl, not only on its own.
+        "negseq/orders.py",
+        "                if embed or u == i\n",
+        "                if not exact or u == i\n",
+        (
+            "tests/test_orders.py::TestComparablePairs"
+            "::test_default_space_equals_all_pairs_filter[OrderKind.PREFIX_INCL-NonInclusion.TOTAL]",
+            "tests/test_orders.py::TestComparablePairs::test_random_spaces_equal_all_pairs_filter",
+            "tests/test_orders.py::test_comparable_pairs_equal_all_pairs_filter",
+        ),
+    ),
 )
 
 

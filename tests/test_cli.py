@@ -569,6 +569,25 @@ def test_match_explain_matches_golden(capsys, index, pattern, theta):
     assert f"exit {code}\n" + out == block
 
 
+@pytest.mark.parametrize("theta", THETAS, ids=lambda t: t.spell())
+@pytest.mark.parametrize("index, pattern", enumerate(MATCH_PATTERNS))
+def test_match_rows_without_explain_are_the_explain_verdicts(capsys, index, pattern, theta):
+    # Without --explain a sequence is only decided, not reported: its row is
+    # the first two cells of its --explain row.
+    rows = {}
+    for extra in ((), ("--explain",)):
+        code, out, err = invoke(
+            capsys, "match", "--db", str(DATA / "mine_small.txt"), "--pattern", pattern,
+            "--theta", theta.spell(), *extra,
+        )
+        assert (code, err) == (0, "")
+        rows[extra] = out.splitlines()
+    plain, explained = rows[()], rows[("--explain",)]
+    assert plain[0] == "seq,contained"
+    assert plain[1:] == [",".join(row.split(",")[:2]) for row in explained[1:]]
+    assert len(plain) == len(explained) > 1
+
+
 def _failing_reports():
     # One crafted failing check per case, in the default space's dictionary.
     d = Dictionary("abcdef")

@@ -11,6 +11,7 @@ from negseq import (
     Dominance,
     EmptySpaceError,
     Itemset,
+    NegMode,
     NegPattern,
     Negative,
     NonInclusion,
@@ -577,6 +578,37 @@ class TestComparablePairs:
                     expected = all_pairs_comparable(patterns, order, nonincl)
                     assert grid.comparable_pairs(order, nonincl) == expected
 
+
+
+@st.composite
+def pattern_lists(draw):
+    """Patterns of up to 4 positives, itemsets of up to 3 items over up to 5
+    items, each non-empty slot with a drawn mode, and some patterns repeated."""
+    item = st.integers(0, draw(st.integers(1, 5)) - 1)
+
+    def pattern():
+        k = draw(st.integers(1, 4))
+        positives = [Itemset.of(draw(st.lists(item, min_size=1, max_size=3))) for _ in range(k)]
+        negatives = []
+        for _ in range(k - 1):
+            itemset = Itemset.of(draw(st.lists(item, max_size=3)))
+            mode = draw(st.sampled_from((None, *NegMode))) if itemset else None
+            negatives.append(Negative(itemset, mode))
+        return NegPattern(tuple(positives), tuple(negatives))
+
+    patterns = [pattern() for _ in range(draw(st.integers(1, 12)))]
+    patterns += draw(st.lists(st.sampled_from(patterns), max_size=4))
+    return draw(st.permutations(patterns))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pattern_lists())
+def test_comparable_pairs_equal_all_pairs_filter(patterns):
+    grid = ContainmentGrid(patterns, [Sequence((Itemset.of([0]),))])
+    for order in OrderKind:
+        for nonincl in (TOTAL, PARTIAL):
+            expected = all_pairs_comparable(patterns, order, nonincl)
+            assert grid.comparable_pairs(order, nonincl) == expected
 
 def stdlib_random_pattern(
     rng, alphabet=5, max_positives=3, max_itemset_size=2, max_neg_size=2,
