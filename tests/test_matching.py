@@ -480,6 +480,70 @@ def test_strong_is_positive_containment_without_a_failing_chain(data):
         assert bool(bits >> theta.index & 1) == expected
 
 
+def strong_from_inserted_itemsets(p, s, theta):
+    """(contained, violator) of ``p`` in ``s`` under strong ``theta``, from
+    ``_earliest`` alone. Slot i on negative q fails iff the positive part
+    with an itemset w inserted after positive i embeds: w = q under
+    soft-partial, some one-item {x} of q under total, every one under
+    strict-partial. The violator is the least, over the failing slots, of
+    the earliest such embedding with w left out; under strict-partial a
+    slot's is the latest over its items."""
+    pos_masks = p.positive_masks
+    if _earliest(pos_masks, s.masks) is None:
+        return False, None
+    default = _STRONG_TEST[theta.embedding, theta.non_inclusion]
+    violators = []
+    for i, negative in enumerate(p.negatives):
+        q = negative.itemset
+        if not q:
+            continue
+        mode = negative.mode or default
+        inserts = [q.mask] if mode is NegMode.SOFT_PARTIAL else [1 << x for x in q]
+        placed = []
+        for w in inserts:
+            e = _earliest(pos_masks[: i + 1] + (w,) + pos_masks[i + 1:], s.masks)
+            if e is not None:
+                placed.append(tuple(j + 1 for j in e[: i + 1] + e[i + 2:]))
+        if mode is NegMode.STRICT_PARTIAL:
+            if len(placed) == len(inserts):
+                violators.append(max(placed))
+        elif placed:
+            violators.append(min(placed))
+    return not violators, min(violators, default=None)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_strong_from_the_earliest_placement_with_an_inserted_itemset(data):
+    # The per-item form of the reduction above, against both engines: the
+    # strong bits of theta_bits, the strong columns of theta_masks, and the
+    # violator that contains reports.
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    patterns = [
+        with_random_modes(rng, random_pattern(
+            rng, alphabet=4, max_positives=4, max_itemset_size=2, max_neg_size=3,
+        ))
+        for _ in range(rng.randint(1, 4))
+    ]
+    sequences = [
+        random_sequence(rng, alphabet=4, max_len=10, max_itemset_size=3)
+        for _ in range(rng.randint(1, 5))
+    ]
+    for _ in range(rng.randint(0, 2)):
+        sequences.insert(rng.randint(0, len(sequences)), Sequence(()))
+    rows = sequence_rows(*theta_masks(patterns, sequences))
+    for p, row in zip(patterns, rows):
+        for j, s in enumerate(sequences):
+            bits = theta_bits(p, s)
+            for theta in THETAS:
+                if theta.occurrence is not Occurrence.STRONG:
+                    continue
+                contained, violator = strong_from_inserted_itemsets(p, s, theta)
+                assert bool(bits >> theta.index & 1) == contained
+                assert bool(row[theta.index] >> j & 1) == contained
+                assert contains(p, s, theta).violator == violator
+
+
 # --- contains on the worked examples ----------------------------------------
 
 
