@@ -222,52 +222,39 @@ def render_sequence(sequence: Sequence, dictionary: Dictionary) -> str:
 
 
 class _Singletons(dict):
-    """Token -> one-item mask, ``1 << id``; an unseen token is registered on
-    lookup.
+    """The tables of one parse. As a dict, token -> one-item mask,
+    ``1 << id``; an unseen token is registered on lookup, so a token seen
+    before never reaches the dictionary. ``itemsets`` is the mask -> Itemset
+    table that the parse's sequences build their itemsets from when those
+    are first read (:meth:`Sequence.of_masks`); a parse itself builds no
+    Itemset.
 
     Registration skips ``check_token``: the readers look up only tokens
     they know to be valid, the native reader after its per-line checks
     and the spmf reader the decimal digits of a non-negative int.
     """
 
-    __slots__ = ("dictionary",)
+    __slots__ = ("dictionary", "itemsets")
 
     def __init__(self, dictionary: Dictionary):
         self.dictionary = dictionary
+        self.itemsets: dict[tuple[int, int], Itemset] = {}
 
     def __missing__(self, token: str) -> int:
         found = self[token] = 1 << self.dictionary._add_valid(token)
         return found
 
 
-class _Interner:
-    """The tables of one parse.
-
-    ``singletons`` maps a token to its one-item mask and registers an unseen
-    token on lookup, so a token seen before never reaches the dictionary.
-    ``itemsets`` is the mask -> Itemset table that the parse's sequences
-    build their itemsets from when those are first read
-    (:meth:`Sequence.of_masks`); a parse itself builds no Itemset.
-    """
-
-    __slots__ = ("dictionary", "singletons", "itemsets")
-
-    def __init__(self, dictionary: Dictionary):
-        self.dictionary = dictionary
-        self.singletons = _Singletons(dictionary)
-        self.itemsets: dict[tuple[int, int], Itemset] = {}
-
-
-def _parse_native_line(line: str, lineno: int, interner: _Interner) -> Sequence:
+def _parse_native_line(line: str, lineno: int, singletons: _Singletons) -> Sequence:
     """Read one native line: split at each '(', then at the first ')' of
-    each piece, and look every item token up in ``interner.singletons``.
+    each piece, and look every item token up in ``singletons``.
 
     Every piece is checked before its tokens are looked up, so the lookups
     only ever see valid tokens, and those a rejected line registers come
     before its error. A line this reader rejects goes to
     :func:`_raise_native_error`, which words the error.
     """
-    lookup = interner.singletons.__getitem__
+    lookup = singletons.__getitem__
     head, *groups = line.split("(")
     # A ')' outside a group is a stray one.
     if not _NON_BRACKET_RESERVED.search(line) and ")" not in head:
@@ -282,8 +269,8 @@ def _parse_native_line(line: str, lineno: int, interner: _Interner) -> Sequence:
             masks.append(reduce(or_, map(lookup, members)))
             masks.extend(map(lookup, after.split()))
         else:
-            return Sequence.of_masks(tuple(masks), interner.itemsets)
-    _raise_native_error(line, lineno, interner.dictionary)
+            return Sequence.of_masks(tuple(masks), singletons.itemsets)
+    _raise_native_error(line, lineno, singletons.dictionary)
 
 
 def _raise_native_error(line: str, lineno: int, dictionary: Dictionary) -> NoReturn:
@@ -319,8 +306,7 @@ def _raise_native_error(line: str, lineno: int, dictionary: Dictionary) -> NoRet
 _SPMF_INTEGER = re.compile("[+-]?[0-9]+")
 
 
-def _parse_spmf_line(line: str, lineno: int, interner: _Interner) -> Sequence:
-    singletons = interner.singletons
+def _parse_spmf_line(line: str, lineno: int, singletons: _Singletons) -> Sequence:
     masks: list[int] = []
     mask = 0
     terminated = False
@@ -350,12 +336,12 @@ def _parse_spmf_line(line: str, lineno: int, interner: _Interner) -> Sequence:
             mask |= singletons[str(value)]
     if not terminated:
         raise DatabaseParseError("sequence not terminated with -2", lineno)
-    return Sequence.of_masks(tuple(masks), interner.itemsets)
+    return Sequence.of_masks(tuple(masks), singletons.itemsets)
 
 
 def parse_sequence(text: str, dictionary: Dictionary) -> Sequence:
     """Parse one native-format sequence line against an existing dictionary."""
-    return _parse_native_line(text, 1, _Interner(dictionary))
+    return _parse_native_line(text, 1, _Singletons(dictionary))
 
 
 def parse_database(text: str, format: str = "native") -> SequenceDatabase:
@@ -363,14 +349,14 @@ def parse_database(text: str, format: str = "native") -> SequenceDatabase:
     if format not in ("native", "spmf"):
         raise ValueError(f"unknown database format {format!r}")
     parse_line = _parse_native_line if format == "native" else _parse_spmf_line
-    interner = _Interner(Dictionary())
+    singletons = _Singletons(Dictionary())
     sequences: list[Sequence] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        sequences.append(parse_line(line, lineno, interner))
-    return SequenceDatabase(tuple(sequences), interner.dictionary)
+        sequences.append(parse_line(line, lineno, singletons))
+    return SequenceDatabase(tuple(sequences), singletons.dictionary)
 
 
 def load_database(path: str, format: str = "native") -> SequenceDatabase:
