@@ -20,9 +20,9 @@ reports. The vertical engine, ``_Layout``, decides patterns against a list
 of sequences laid out as one bit string: :func:`theta_masks` builds
 ``orders.ContainmentGrid``, the verification grid, with it,
 ``mining.mine_pruned`` counts every candidate on one layout of the
-database, and the tests check it against the core. Per slot test it runs
-one weak pass and one failing pass; strong containment is the positive
-part's sequences minus the failing pass's.
+database, and the tests check it against the core. Strong containment there
+is positive containment minus that of the positives with a failing itemset
+inserted into a slot.
 
 Every relation quantifies over all placements of the positives, of which
 there can be exponentially many. No decision enumerates them: one containment
@@ -630,13 +630,12 @@ def all_theta_supports(p: NegPattern, db: SequenceDatabase) -> tuple[int, ...]:
 # Each slot test becomes a set of blocker cells, and a reach pass carries the
 # positives' possible places across a slot with one add-with-carry run fill
 # per blocker set (Allison & Dix, IPL 1986). A pass that reaches the
-# separator at the end of a sequence has found the pattern in it. Per slot
-# test there is one weak pass and one failing pass. Weak containment is the
-# weak pass, in which every constrained slot takes a passing gap. Strong
-# containment is ``embedded``, the pass with any gaps, minus the failing
-# pass, which carries a second track after the first failed slot: e-NSP's
-# reduction of negative support to positive containment (Cao, Dong & Zheng,
-# Artificial Intelligence 235, 2016).
+# separator at the end of a sequence has found the pattern in it. Weak
+# containment is the pass in which every constrained slot takes a passing
+# gap. Strong containment is ``embedded``, the pass with no constrained slot,
+# minus the sequences where the positives embed with a failing itemset
+# inserted into a slot: e-NSP's reduction of negative support to positive
+# containment (Cao, Dong & Zheng, Artificial Intelligence 235, 2016).
 
 
 def _flood(seeds: int, free: int) -> int:
@@ -670,6 +669,8 @@ class _Layout:
         self.cells = {x: int.from_bytes(row, "little") for x, row in rows.items()}
         self._positives: dict[int, int] = {}
         self._blockers: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._inserted_into: tuple[int, ...] = ()  # see :meth:`failing`
+        self._inserted: list[tuple[int, dict[int, int]]] = []
 
     def positive(self, pmask: int) -> int:
         """The cells that hold every item of ``pmask``."""
@@ -698,46 +699,65 @@ class _Layout:
             self._blockers[key] = found
         return found
 
-    def reach(
-        self,
-        pos_masks: tuple[int, ...],
-        slots: list[tuple[int, int] | None],
-        passes: bool = True,
-    ) -> int:
+    def reach(self, pos_masks: tuple[int, ...], slots: list[tuple[int, int] | None]) -> int:
         """End separators of the sequences where the positives embed with
-        every slot passing (the weak pass), or with some slot failing (the
-        failing pass). ``slots`` is :func:`_slot_tests`'s list.
+        every slot passing. ``slots`` is :func:`_slot_tests`'s list; with
+        no constrained slot this is positive containment.
 
-        The cells a pass reaches after a slot are the places of the next
+        The cells the pass reaches after a slot are the places of the next
         positive that the gap allows. A passing gap misses some blocker set,
-        so it lies in the flood of that set. A failing gap lies in none; it
-        is taken from the earliest place of the positive before it, whose
-        gaps contain those of every later place, since every slot test is
-        monotone in the gap. The failing pass keeps what such gaps reach on
-        a second track, ``failed``, where every later slot takes any gap.
+        so it lies in the flood of that set.
         """
         free = self.free
         reach = self.positive(pos_masks[0])
-        failed = 0
         for pmask, slot in zip(pos_masks[1:], slots):
-            after = _flood(reach << 1, free)
-            if failed:
-                failed = _flood(failed << 1, free)
-            if slot is not None:
-                seeds = reach << 1 if passes else (reach & ~after) << 1
-                span = 0
+            if slot is None:
+                after = _flood(reach << 1, free)
+            else:
+                after = 0
                 for unblocked in self.blockers(*slot):
-                    span |= _flood(seeds, unblocked)
-                if passes:
-                    after = span
-                else:
-                    failed |= after & ~span
-            cells = self.positive(pmask)
-            reach = after & cells
-            failed &= cells
-            if not (reach or failed):
+                    after |= _flood(reach << 1, unblocked)
+            reach = after & self.positive(pmask)
+            if not reach:
                 return 0
-        return _flood((reach if passes else failed) << 1, free) & self.sep
+        return _flood(reach << 1, free) & self.sep
+
+    def failing(self, pos_masks: tuple[int, ...], slots: list[tuple[int, int] | None]) -> int:
+        """End separators of the sequences where some placement of the
+        positives fails a slot of ``slots``, :func:`_slot_tests`'s list.
+
+        Some placement fails slot i iff the widest gap does, as every slot
+        test is monotone in the gap, and an item lies in that gap iff the
+        positives embed with it inserted after positive i. So slot i on
+        negative q fails where the positives embed with an itemset w
+        inserted there: w = q under soft-partial (2), some one-item {x} of q
+        under total (4), every one under strict-partial (1); for a one-item
+        q, one reach. Per slot the cells after the positive before it and
+        the reaches from there are kept for the positives last asked about.
+        """
+        free = self.free
+        if pos_masks != self._inserted_into:
+            self._inserted_into, self._inserted = pos_masks, []
+            reach = self.positive(pos_masks[0])
+            for pmask in pos_masks[1:]:
+                self._inserted.append((_flood(reach << 1, free), {}))
+                reach = self._inserted[-1][0] & self.positive(pmask)
+        found = 0
+        for i, slot in enumerate(slots):
+            if slot is not None:
+                qmask, test = slot
+                after, reaches = self._inserted[i]
+                single = test == 2 or not qmask & qmask - 1
+                ends = []
+                for w in [qmask] if single else [1 << x for x in Itemset(qmask)]:
+                    if w not in reaches:
+                        reach = after & self.positive(w)
+                        for pmask in pos_masks[i + 1 :]:
+                            reach = _flood(reach << 1, free) & self.positive(pmask)
+                        reaches[w] = _flood(reach << 1, free) & self.sep
+                    ends.append(reaches[w])
+                found |= reduce(and_ if test == 1 else or_, ends)
+        return found
 
 
 def theta_masks(
@@ -750,9 +770,9 @@ def theta_masks(
 
     The vertical engine: it decides each pattern against all the sequences
     at once, in a few big-int operations per slot and test, and agrees
-    with :func:`theta_bits` pair by pair. Per slot test it runs one weak
-    pass and one failing pass. Patterns with the same positives share
-    ``embedded``.
+    with :func:`theta_bits` pair by pair. Per slot test the weak mask is
+    one reach pass, and the strong mask is ``embedded``, which patterns with
+    the same positives share, minus the layout's ``failing``.
     """
     items = 0
     for p in patterns:
@@ -776,8 +796,8 @@ def theta_masks(
         masks = {}  # per slot test, the strong and the weak mask
         for test in _TESTS:
             slots = _slot_tests(p, test)
-            failing = layout.reach(pos_masks, slots, False)
-            masks[test] = (embedded & ~failing, layout.reach(pos_masks, slots))
+            strong = embedded & ~layout.failing(pos_masks, slots)
+            masks[test] = (strong, layout.reach(pos_masks, slots))
         rows.append(
             [
                 shared.setdefault(marks, marks)

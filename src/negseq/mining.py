@@ -12,12 +12,12 @@ the sequences, with one row of cells per item (see ``matching._Layout``).
   ``after & cells[x]``, where ``after`` floods R one cell on to the end of
   each sequence. The node's ``embedded``, the end separators in ``after``, is
   its set of containing sequences, and its support is their number.
-- A negative node takes one reach pass on the layout for the relation's
-  slot test. Weak: the weak pass, where every constrained slot passes.
-  Strong: ``embedded`` minus the failing pass, which carries a second track
-  after the first failed slot; this is e-NSP's reduction of negative support
-  to positive containment (Cao, Dong & Zheng, Artificial Intelligence 235,
-  2016).
+- A negative node is counted on the layout. Weak: one reach pass, where
+  every constrained slot passes. Strong: ``embedded`` minus the sequences
+  where the positives embed with a failing itemset inserted into a slot,
+  e-NSP's reduction of negative support to positive containment (Cao, Dong
+  & Zheng, Artificial Intelligence 235, 2016); a negative subtree reuses
+  those reaches, as its nodes share their positives.
 
 The walk works on the itemsets' masks, and builds a pattern object only for
 a frequent node. Every relation needs the positive part to embed, and every
@@ -255,8 +255,9 @@ def mine_pruned(
         # embedded: the positive part's sequences, as end separators.
         nonlocal candidates, pruned
         candidates += 1
-        found = layout.reach(pos, [(q, test) if q else None for q in neg], not strong)
-        count = (embedded & ~found if strong else found).bit_count()
+        slots = [(q, test) if q else None for q in neg]
+        found = embedded & ~layout.failing(pos, slots) if strong else layout.reach(pos, slots)
+        count = found.bit_count()
         if count >= minsup:
             frequent.append((_pattern(positives, neg), count))
         elif cut_negatives:

@@ -44,39 +44,103 @@ class Mutant:
 
 MUTANTS = (
     Mutant(
-        "failing-track-dropped",
-        # The failing pass forgets, at an unconstrained slot, the places it
-        # reached after an earlier slot failed.
+        "failing-strict-partial-any-item",
+        # A strict-partial slot fails where any one item of the negative is
+        # inserted, not every one.
         "negseq/matching.py",
-        "            if failed:\n"
-        "                failed = _flood(failed << 1, free)\n",
-        "            if slot is None:\n"
-        "                failed = 0\n"
-        "            elif failed:\n"
-        "                failed = _flood(failed << 1, free)\n",
+        "reduce(and_ if test == 1 else or_, ends)",
+        "reduce(or_ if test == 1 else or_, ends)",
         (
-            "tests/test_matching.py::TestVerticalEdgeCases"
-            "::test_failure_carried_across_an_unconstrained_slot",
             "tests/test_matching.py::test_vertical_engine_agrees_with_theta_bits",
+            "tests/test_matching.py"
+            "::test_strong_from_the_earliest_placement_with_an_inserted_itemset",
+            "tests/test_orders.py::TestDominanceScan::test_grid_masks_equal_pairwise_theta_bits[False]",
+            "tests/test_mining.py::TestPruned"
+            "::test_agrees_with_bruteforce_on_random_instances[strong-strict-partial]",
             "tests/test_mining.py::TestPruned::test_three_step_patterns_and_strong_occurrence",
-            "tests/test_orders.py::TestDominanceScan::test_grid_masks_equal_pairwise_theta_bits",
-            "tests/test_cli.py::test_verify_output_matches_golden[dominance-extra0-text]",
         ),
     ),
     Mutant(
-        "failing-gap-from-every-place",
-        # The failing gap is seeded from every place of the positive before
-        # the slot, not only from its earliest, so a later place's passing
-        # gap counts as failing.
+        "failing-total-every-item",
+        # A total slot fails only where every item of the negative is
+        # inserted, not any one.
         "negseq/matching.py",
-        "                seeds = reach << 1 if passes else (reach & ~after) << 1\n",
-        "                seeds = reach << 1\n",
+        "reduce(and_ if test == 1 else or_, ends)",
+        "reduce(and_ if test == 1 else and_, ends)",
         (
-            "tests/test_matching.py::TestVerticalEdgeCases::test_failing_gap_from_an_earlier_place",
             "tests/test_matching.py::test_vertical_engine_agrees_with_theta_bits",
+            "tests/test_matching.py"
+            "::test_strong_from_the_earliest_placement_with_an_inserted_itemset",
+            "tests/test_orders.py::TestDominanceScan::test_grid_masks_equal_pairwise_theta_bits[False]",
+            "tests/test_mining.py::TestPruned"
+            "::test_agrees_with_bruteforce_on_random_instances[strong-strict-total]",
+            "tests/test_mining.py::TestPruned"
+            "::test_agrees_with_bruteforce_on_random_instances[strong-soft-total]",
+            "tests/test_mining.py::TestPruned::test_three_step_patterns_and_strong_occurrence",
+        ),
+    ),
+    Mutant(
+        "failing-inserted-one-positive-late",
+        # The itemset is inserted after positive i + 1, not after positive i.
+        "negseq/matching.py",
+        "                        reach = after & self.positive(w)\n"
+        "                        for pmask in pos_masks[i + 1 :]:\n",
+        "                        reach = after & self.positive(pos_masks[i + 1])\n"
+        "                        for pmask in (w, *pos_masks[i + 2 :]):\n",
+        (
+            "tests/test_matching.py::test_vertical_engine_agrees_with_theta_bits",
+            "tests/test_matching.py"
+            "::test_strong_from_the_earliest_placement_with_an_inserted_itemset",
+            "tests/test_orders.py::TestDominanceScan::test_grid_masks_equal_pairwise_theta_bits[False]",
             "tests/test_mining.py::TestPruned"
             "::test_agrees_with_bruteforce_on_random_instances[strong-strict-partial]",
-            "tests/test_cli.py::test_mine_output_matches_golden[small-bounds0-8-strong-strict-total]",
+            "tests/test_mining.py::TestPruned"
+            "::test_agrees_with_bruteforce_on_random_instances[strong-soft-partial]",
+            "tests/test_mining.py::TestPruned"
+            "::test_agrees_with_bruteforce_on_random_instances[strong-strict-total]",
+            "tests/test_mining.py::TestPruned"
+            "::test_agrees_with_bruteforce_on_random_instances[strong-soft-total]",
+            "tests/test_mining.py::TestPruned::test_three_step_patterns_and_strong_occurrence",
+        ),
+    ),
+    Mutant(
+        "failing-soft-partial-split-per-item",
+        # A soft-partial slot inserts the negative's items one by one, and
+        # fails where any one of them embeds.
+        "negseq/matching.py",
+        "                single = test == 2 or not qmask & qmask - 1\n",
+        "                single = not qmask & qmask - 1\n",
+        (
+            "tests/test_matching.py::test_vertical_engine_agrees_with_theta_bits",
+            "tests/test_matching.py"
+            "::test_strong_from_the_earliest_placement_with_an_inserted_itemset",
+            "tests/test_orders.py::TestDominanceScan::test_grid_masks_equal_pairwise_theta_bits[False]",
+            "tests/test_mining.py::TestPruned"
+            "::test_agrees_with_bruteforce_on_random_instances[strong-soft-partial]",
+            "tests/test_mining.py::TestPruned::test_three_step_patterns_and_strong_occurrence",
+        ),
+    ),
+    Mutant(
+        "failing-reaches-kept-across-positives",
+        # The layout keeps the inserted-itemset reaches of the first
+        # positives it was asked about, for every later positive part.
+        "negseq/matching.py",
+        "        if pos_masks != self._inserted_into:\n",
+        "        if not self._inserted_into:\n",
+        (
+            "tests/test_matching.py::test_vertical_engine_agrees_with_theta_bits",
+            "tests/test_matching.py"
+            "::test_strong_from_the_earliest_placement_with_an_inserted_itemset",
+            "tests/test_orders.py::TestDominanceScan::test_grid_masks_equal_pairwise_theta_bits[False]",
+            "tests/test_mining.py::TestPruned"
+            "::test_agrees_with_bruteforce_on_random_instances[strong-strict-partial]",
+            "tests/test_mining.py::TestPruned"
+            "::test_agrees_with_bruteforce_on_random_instances[strong-soft-partial]",
+            "tests/test_mining.py::TestPruned"
+            "::test_agrees_with_bruteforce_on_random_instances[strong-strict-total]",
+            "tests/test_mining.py::TestPruned"
+            "::test_agrees_with_bruteforce_on_random_instances[strong-soft-total]",
+            "tests/test_mining.py::TestPruned::test_three_step_patterns_and_strong_occurrence",
         ),
     ),
     Mutant(
@@ -93,6 +157,7 @@ MUTANTS = (
             "tests/test_matching.py::test_vertical_engine_agrees_with_theta_bits",
             "tests/test_mining.py::TestPruned"
             "::test_agrees_with_bruteforce_on_random_instances[weak-strict-partial]",
+            "tests/test_matching.py::test_strong_is_positive_containment_without_a_failing_chain",
         ),
     ),
     Mutant(
@@ -157,6 +222,7 @@ MUTANTS = (
         (
             "tests/test_matching.py::TestCheckEmbedding::test_slot_mode_pins_evaluation",
             "tests/test_matching.py::TestVerticalEdgeCases::test_pinned_partial_modes",
+            "tests/test_matching.py::test_strong_is_positive_containment_without_a_failing_chain",
         ),
     ),
     Mutant(
@@ -199,6 +265,7 @@ MUTANTS = (
             "tests/test_cli.py::test_verify_output_matches_golden[lemmas-extra3-text]",
             "tests/test_acceptance.py::test_criterion_6_equivalence_classes",
             "tests/test_orders.py::TestDominanceScan::test_grid_masks_equal_pairwise_theta_bits",
+            "tests/test_matching.py::test_strong_is_positive_containment_without_a_failing_chain",
         ),
     ),
     Mutant(
@@ -213,6 +280,7 @@ MUTANTS = (
             "tests/test_orders.py::TestEquivalenceClasses::test_general_space_has_six_classes",
             "tests/test_orders.py::TestSuites::test_invariant_harness",
             "tests/test_cli.py::test_mine_output_matches_golden[small-bounds0-8-weak-soft-total]",
+            "tests/test_matching.py::test_strong_is_positive_containment_without_a_failing_chain",
         ),
     ),
     Mutant(
@@ -241,6 +309,7 @@ MUTANTS = (
             "tests/test_matching.py::test_vertical_engine_agrees_with_theta_bits",
             "tests/test_mining.py::TestPruned"
             "::test_agrees_with_bruteforce_on_random_instances[weak-soft-partial]",
+            "tests/test_matching.py::test_strong_is_positive_containment_without_a_failing_chain",
         ),
     ),
     Mutant(

@@ -779,15 +779,17 @@ class TestVerticalEdgeCases:
 
     def test_failing_gap_from_an_earlier_place(self, abc_dict):
         # The earliest a fails the slot before b, a later a passes it: weak
-        # but not strong under every combo.
+        # but not strong under every combo. The strong masks see the
+        # earliest a's gap through <a c b>, with c inserted after the a.
         sequences = [parse_sequence("a c a b", abc_dict)]
         p = parse_pattern("<a !c b>", abc_dict)
         assert vertical_rows([p], sequences) == [[0, 1] * 4]
 
     def test_failure_carried_across_an_unconstrained_slot(self, abc_dict):
         # In the first sequence the a before c fails the first slot, and the
-        # failing pass must carry that over the free slot to d: weak but not
-        # strong. In the second no placement fails.
+        # positives with c inserted there, <a c b d>, must embed past the
+        # free slot to d: weak but not strong. In the second no placement
+        # fails.
         sequences = [parse_sequence(text, abc_dict) for text in ("a c a b d", "a b c d")]
         p = parse_pattern("<a !c b d>", abc_dict)
         assert vertical_rows([p], sequences) == [[0b10, 0b11] * 4]
