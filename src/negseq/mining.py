@@ -39,15 +39,14 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .model import (
-    NO_NEGATIVE,
     Dictionary,
     Itemset,
     NegPattern,
-    Negative,
     NonInclusion,
     Occurrence,
     SequenceDatabase,
     Theta,
+    _mask_tables,
 )
 from .matching import _COMBO_TEST, _Layout, _flood, _placed, _supports
 
@@ -130,12 +129,6 @@ def cuts_negatives(theta: Theta) -> bool:
     return theta.non_inclusion is NonInclusion.TOTAL
 
 
-def _pattern(positives: tuple[Itemset, ...], neg: tuple[int, ...]) -> NegPattern:
-    return NegPattern(
-        positives, tuple(Negative(Itemset(q)) if q else NO_NEGATIVE for q in neg)
-    )
-
-
 def enumerate_patterns(bounds: PatternBounds) -> Iterator[NegPattern]:
     """Every valid pattern within ``bounds``, exactly once, in a fixed order:
     the canonical construction order that the pruned miner walks as well.
@@ -144,26 +137,23 @@ def enumerate_patterns(bounds: PatternBounds) -> Iterator[NegPattern]:
     the patterns with one positive part come in at most two runs: the node,
     and later its whole negative subtree. :func:`mine_bruteforce` finds a
     positive part's placements once per run; its result does not depend on
-    the order, only its cost does."""
+    the order, only its cost does. The walk works on masks, and builds each
+    pattern from them (:meth:`NegPattern.of_masks`), unchecked, with one
+    shared Itemset and Negative per mask."""
+    itemsets, negatives = _mask_tables()
 
     def walk(
-        pattern: NegPattern, neg: tuple[int, ...], last_slot: int, last_item: int
+        pos: tuple[int, ...], neg: tuple[int, ...], last_slot: int, last_item: int
     ) -> Iterator[NegPattern]:
-        yield pattern
-        positives, negatives = pattern.positives, pattern.negatives
+        yield NegPattern.of_masks(pos, neg, itemsets, negatives)
         if last_slot < 0:
-            for child, _, _ in _positive_children(pattern.positive_masks, bounds):
-                slots = len(child) - 1
-                grown = NegPattern(positives[:slots] + (Itemset(child[-1]),))
-                yield from walk(grown, (0,) * slots, -1, -1)
+            for child, _, _ in _positive_children(pos, bounds):
+                yield from walk(child, (0,) * (len(child) - 1), -1, -1)
         for child, slot, item in _negative_children(neg, bounds, last_slot, last_item):
-            grown = (
-                negatives[:slot] + (Negative(Itemset(child[slot])),) + negatives[slot + 1 :]
-            )
-            yield from walk(NegPattern(positives, grown), child, slot, item)
+            yield from walk(pos, child, slot, item)
 
     for item in bounds.alphabet:
-        yield from walk(NegPattern((Itemset(1 << item),)), (), -1, -1)
+        yield from walk((1 << item,), (), -1, -1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,6 +226,8 @@ def mine_pruned(
     if minsup < 1:
         raise ValueError("minsup must be at least 1")
     layout = _Layout(list(db.sequences), Itemset.of(bounds.alphabet).mask)
+    # Rows are built from masks, with one shared Itemset and Negative each.
+    itemsets, negatives = _mask_tables()
     cells, free, sep = layout.cells, layout.free, layout.sep
     test = _COMBO_TEST[theta.combo_index]
     strong = theta.occurrence is Occurrence.STRONG
@@ -245,12 +237,7 @@ def mine_pruned(
     pruned = 0
 
     def visit_negative(
-        pos: tuple[int, ...],
-        positives: tuple[Itemset, ...],
-        neg: tuple[int, ...],
-        last_slot: int,
-        last_item: int,
-        embedded: int,
+        pos: tuple[int, ...], neg: tuple[int, ...], last_slot: int, last_item: int, embedded: int
     ) -> None:
         # embedded: the positive part's sequences, as end separators.
         nonlocal candidates, pruned
@@ -259,13 +246,13 @@ def mine_pruned(
         found = embedded & ~layout.failing(pos, slots) if strong else layout.reach(pos, slots)
         count = found.bit_count()
         if count >= minsup:
-            frequent.append((_pattern(positives, neg), count))
+            frequent.append((NegPattern.of_masks(pos, neg, itemsets, negatives), count))
         elif cut_negatives:
             if next(_negative_children(neg, bounds, last_slot, last_item), None):
                 pruned += 1
             return
         for child, slot, item in _negative_children(neg, bounds, last_slot, last_item):
-            visit_negative(pos, positives, child, slot, item, embedded)
+            visit_negative(pos, child, slot, item, embedded)
 
     def visit_positive(pos: tuple[int, ...], reach: int) -> None:
         # reach: the cells where the last positive can sit.
@@ -279,12 +266,12 @@ def mine_pruned(
             if len(pos) > 1 or next(_positive_children(pos, bounds), None):
                 pruned += 1
             return
-        positives = tuple(map(Itemset, pos))
-        frequent.append((NegPattern(positives), count))
+        neg = (0,) * (len(pos) - 1)
+        frequent.append((NegPattern.of_masks(pos, neg, itemsets, negatives), count))
         for child, item, appended in _positive_children(pos, bounds):
             visit_positive(child, (after if appended else reach) & cells[item])
-        for child, slot, item in _negative_children((0,) * (len(pos) - 1), bounds, -1, -1):
-            visit_negative(pos, positives, child, slot, item, embedded)
+        for child, slot, item in _negative_children(neg, bounds, -1, -1):
+            visit_negative(pos, child, slot, item, embedded)
 
     for item in bounds.alphabet:
         visit_positive((1 << item,), cells[item])

@@ -11,9 +11,10 @@ from __future__ import annotations
 import re
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
+from functools import cache
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 RESERVED_CHARS = frozenset("(){}|!<>,#¬")
 
@@ -348,6 +349,33 @@ class NegPattern:
             ),
         )
 
+    @classmethod
+    def of_masks(
+        cls, positive_masks: tuple[int, ...], negative_masks: tuple[int, ...],
+        itemset: Callable[[int], Itemset], negative: Callable[[int], Negative],
+    ) -> "NegPattern":
+        """The pattern of non-zero ``positive_masks`` and one negative mask
+        per slot, 0 for an empty one, equal to the checked constructor's,
+        for a caller whose masks are valid by construction: nothing is
+        checked. ``itemset`` and ``negative`` give a mask's shared Itemset
+        and Negative; a slot keeps its Negative's mode."""
+        pattern = object.__new__(cls)
+        negatives = tuple(map(negative, negative_masks))
+        put = object.__setattr__
+        put(pattern, "positives", tuple(map(itemset, positive_masks)))
+        put(pattern, "negatives", negatives)
+        put(pattern, "positive_masks", positive_masks)
+        constrained = [(i, q, negatives[i].mode) for i, q in enumerate(negative_masks) if q]
+        put(pattern, "constrained_slots", tuple(constrained))
+        return pattern
+
+
+def _mask_tables() -> tuple[Callable[[int], Itemset], Callable[[int], Negative]]:
+    """Fresh tables of one shared Itemset and one unpinned Negative per
+    mask, each made when first asked for, for :meth:`NegPattern.of_masks`."""
+    itemset = cache(Itemset)
+    return itemset, cache(lambda q: Negative(itemset(q)))
+
 
 def positive_part(pattern: NegPattern) -> NegPattern:
     """The pattern with every negative slot erased. Idempotent."""
@@ -398,6 +426,16 @@ class Theta:
     occurrence: Occurrence
     embedding: EmbeddingKind
     non_inclusion: NonInclusion
+    # Computed once, as each read would hash two enum members: the combo's
+    # position in COMBOS, and the relation's in the canonical reporting
+    # order of the eight relations.
+    combo_index: int = field(init=False, repr=False, compare=False)
+    index: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        combo = _COMBO_INDEX[(self.embedding, self.non_inclusion)]
+        object.__setattr__(self, "combo_index", combo)
+        object.__setattr__(self, "index", 2 * combo + (self.occurrence is Occurrence.WEAK))
 
     def spell(self) -> str:
         """Canonical spelling, e.g. ``weak-strict-total``."""
@@ -417,17 +455,6 @@ class Theta:
             return cls(Occurrence(parts[0]), EmbeddingKind(parts[1]), NonInclusion(parts[2]))
         except ValueError:
             raise ValueError(f"unknown containment relation {text!r}") from None
-
-    @property
-    def combo_index(self) -> int:
-        return _COMBO_INDEX[(self.embedding, self.non_inclusion)]
-
-    @property
-    def index(self) -> int:
-        """Position in the canonical reporting order of the eight relations."""
-        return 2 * self.combo_index + (
-            1 if self.occurrence is Occurrence.WEAK else 0
-        )
 
     def __repr__(self) -> str:
         return f"Theta({self.spell()!r})"

@@ -20,6 +20,7 @@ from operator import eq, or_
 from typing import Callable, Iterable, Iterator, Sequence as SequenceABC
 
 from .model import (
+    COMBOS,
     Dictionary,
     EmbeddingKind,
     Itemset,
@@ -32,11 +33,14 @@ from .model import (
     SequenceDatabase,
     Theta,
     THETAS,
+    _mask_tables,
     positive_part,
     singleton_negatives_only,
 )
 from .matching import (
+    _COMBO_TEST,
     NotAPositiveEmbeddingError,
+    _passes,
     all_theta_supports,
     check_embedding,
     is_contained,  # only for the bench tracer, which patches orders.is_contained
@@ -729,7 +733,7 @@ def _sample_mask(rng: random.Random, n: int, k: int) -> int:
     if not 0 <= k <= n:
         raise ValueError("Sample larger than population or is negative")
     if n <= _TREE_ITEMS:
-        return _walk(_sample_tree(n, k), rng).mask
+        return _walk(_sample_tree(n, k), rng)
     setsize = 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
     mask = 0
     if n <= setsize:
@@ -747,17 +751,20 @@ def _sample_mask(rng: random.Random, n: int, k: int) -> int:
     return mask
 
 
-# Draws over at most six items replay on trees, so they build no pool and
-# no itemset. A node is a list: the bits it draws, then the next node for
-# each value of those bits. A value past the range leads back to the node
-# itself, which is _below's redraw. The leaves are shared itemsets, one per
-# mask below 64. Each tree is built once and never changed; with six items
-# there are at most a few hundred trees of at most a few thousand nodes.
+# Draws over at most six items replay on trees, so they build no pool. A
+# node is a list: the bits it draws, then the next node for each value of
+# those bits. A value past the range leads back to the node itself, which is
+# _below's redraw. The leaves are the drawn masks. Each tree is built once
+# and never changed; with six items there are at most a few hundred trees of
+# at most a few thousand nodes. The masks below 64 have one shared Itemset
+# and Negative each: the tables for NegPattern.of_masks and Sequence.of_masks.
 _TREE_ITEMS = 6
 _SMALL_ITEMSETS = tuple(Itemset(mask) for mask in range(1 << _TREE_ITEMS))
+_DRAW_TABLES = (_SMALL_ITEMSETS.__getitem__, tuple(map(Negative, _SMALL_ITEMSETS)).__getitem__)
+_SEQUENCE_TABLE = {(it.mask.bit_length(), it.mask): it for it in _SMALL_ITEMSETS}
 
 
-def _draw_node(m: int, kid: Callable[[int], list | Itemset]) -> list:
+def _draw_node(m: int, kid: Callable[[int], list | int]) -> list:
     # A draw below m, as _below draws it: kid(j) for each j < m.
     bits = m.bit_length()
     node: list = [bits]
@@ -765,13 +772,13 @@ def _draw_node(m: int, kid: Callable[[int], list | Itemset]) -> list:
     return node
 
 
-def _pool_node(pool: tuple[int, ...], k: int, mask: int) -> list | Itemset:
+def _pool_node(pool: tuple[int, ...], k: int, mask: int) -> list | int:
     # The last k draws of _sample_mask's pool path, from ``pool`` on.
     if not k:
-        return _SMALL_ITEMSETS[mask]
+        return mask
     last = len(pool) - 1
 
-    def kid(j: int) -> list | Itemset:
+    def kid(j: int) -> list | int:
         rest = list(pool)
         rest[j] = rest[last]
         return _pool_node(tuple(rest[:last]), k - 1, mask | 1 << pool[j])
@@ -780,12 +787,12 @@ def _pool_node(pool: tuple[int, ...], k: int, mask: int) -> list | Itemset:
 
 
 @cache
-def _sample_tree(n: int, k: int) -> list | Itemset:
+def _sample_tree(n: int, k: int) -> list | int:
     # rng.sample(range(n), k), for 0 <= k <= n <= 6.
     return _pool_node(tuple(range(n)), k, 0)
 
 
-def _walk(node: list | Itemset, rng: random.Random) -> Itemset:
+def _walk(node: list | int, rng: random.Random) -> int:
     # The leaf that the draws of rng reach from node.
     getrandbits = rng.getrandbits
     while node.__class__ is list:
@@ -794,15 +801,15 @@ def _walk(node: list | Itemset, rng: random.Random) -> Itemset:
 
 
 @cache
-def _itemset_draw(n: int, low: int, high: int) -> Callable[[random.Random], Itemset]:
-    # The draw of the itemset of rng.sample(range(n), rng.randint(low, high)):
+def _itemset_draw(n: int, low: int, high: int) -> Callable[[random.Random], int]:
+    # The draw of the mask of rng.sample(range(n), rng.randint(low, high)):
     # a walk of a tree where one applies, else the draws one by one. Cached,
     # as a random pattern asks for two: callers pass a few fixed bounds, so
     # the cache stays small.
     if low <= high <= n <= _TREE_ITEMS:
         tree = _draw_node(high - low + 1, lambda r: _sample_tree(n, low + r))
         return partial(_walk, tree)
-    return lambda rng: Itemset(_sample_mask(rng, n, low + _below(rng, high - low + 1)))
+    return lambda rng: _sample_mask(rng, n, low + _below(rng, high - low + 1))
 
 
 def random_pattern(
@@ -817,13 +824,17 @@ def random_pattern(
     ``rng.sample(range(alphabet), size)`` for the number of positives and
     each itemset. They are replayed on ``rng.getrandbits``, which is faster;
     a test compares the replay with the standard library over many seeds.
-    Over an alphabet of at most six items, equal itemsets are one shared
-    object: every mask below 64 has one."""
+    The draws give masks, and the pattern is built from them
+    (:meth:`NegPattern.of_masks`), unchecked, as every draw is valid. Over
+    an alphabet of at most six items, equal itemsets and equal negatives
+    are one shared object: every mask below 64 has one."""
     k = 1 + _below(rng, max_positives)
     positive = _itemset_draw(alphabet, 1, max_itemset_size)
     positives = tuple([positive(rng) for _ in range(k)])
     negative = _itemset_draw(alphabet, 0, 1 if singleton_negatives else max_neg_size)
-    return NegPattern(positives, tuple([Negative(negative(rng)) for _ in range(k - 1)]))
+    negatives = tuple([negative(rng) for _ in range(k - 1)])
+    tables = _DRAW_TABLES if alphabet <= _TREE_ITEMS else _mask_tables()
+    return NegPattern.of_masks(positives, negatives, *tables)
 
 
 def random_sequence(
@@ -833,10 +844,13 @@ def random_sequence(
     max_itemset_size: int = 3,
 ) -> Sequence:
     """A random sequence, drawn as :func:`random_pattern` draws: the
-    standard library's draws, replayed on ``rng.getrandbits``. Over an
-    alphabet of at most six items, equal itemsets are one shared object."""
+    standard library's draws, replayed on ``rng.getrandbits``. It is built
+    from the drawn masks (:meth:`Sequence.of_masks`), and its itemsets when
+    first read; over an alphabet of at most six items, equal itemsets are
+    one shared object."""
     itemset = _itemset_draw(alphabet, 1, max_itemset_size)
-    return Sequence(tuple([itemset(rng) for _ in range(_below(rng, max_len + 1))]))
+    masks = tuple([itemset(rng) for _ in range(_below(rng, max_len + 1))])
+    return Sequence.of_masks(masks, _SEQUENCE_TABLE if alphabet <= _TREE_ITEMS else {})
 
 
 def verify_invariants(draws: int = 10000, seed: int = 94001) -> tuple[InvariantCheck, ...]:
@@ -934,6 +948,13 @@ def verify_invariants(draws: int = 10000, seed: int = 94001) -> tuple[InvariantC
     # Enum members, read once: a member lookup costs about 0.1 us.
     strict_kind, soft_kind = EmbeddingKind.STRICT, EmbeddingKind.SOFT
     partial_incl, total_incl = NonInclusion.PARTIAL, NonInclusion.TOTAL
+    # Checks 2-4 per non-inclusion: is it total, and the slot tests of its
+    # strict and its soft combo.
+    combo_test = dict(zip(COMBOS, _COMBO_TEST))
+    incl_tests = [
+        (incl is total_incl, combo_test[strict_kind, incl], combo_test[soft_kind, incl])
+        for incl in (partial_incl, total_incl)
+    ]
 
     def record(name: str, detail: str) -> None:
         failures[name] += 1
@@ -946,8 +967,8 @@ def verify_invariants(draws: int = 10000, seed: int = 94001) -> tuple[InvariantC
         s = random_sequence(rng)
         recent.append(s)
 
-        pp = small_itemset(rng)
-        ii = small_itemset(rng)
+        pp = _SMALL_ITEMSETS[small_itemset(rng)]
+        ii = _SMALL_ITEMSETS[small_itemset(rng)]
         if non_inclusion(pp, ii, total_incl) and not non_inclusion(pp, ii, partial_incl):
             record(names[0], f"P={pp.items} I={ii.items}")
 
@@ -955,13 +976,16 @@ def verify_invariants(draws: int = 10000, seed: int = 94001) -> tuple[InvariantC
         if pplus is None:
             pplus = positive_parts[p.positive_masks] = positive_part(p)
         embeddings = positive_embeddings(pplus, s)
+        # positive_embeddings gives valid embeddings, so each one is checked
+        # as check_embedding checks it, without the re-validation.
         for e in embeddings[:8]:
-            for incl in (partial_incl, total_incl):
-                strict = check_embedding(e, p, s, strict_kind, incl)
-                soft = check_embedding(e, p, s, soft_kind, incl)
+            index = [position - 1 for position in e]
+            for total, strict_test, soft_test in incl_tests:
+                strict = _passes(p, strict_test, s.masks, index, index)
+                soft = _passes(p, soft_test, s.masks, index, index)
                 if strict and not soft:
                     record(names[1], f"e={e}")
-                if incl is total_incl and strict != soft:
+                if total and strict != soft:
                     record(names[2], f"e={e}")
                 if singleton and strict != soft:
                     record(names[3], f"e={e}")

@@ -401,6 +401,78 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "pattern-from-masks-keeps-empty-slots",
+        # The mask constructor lists an empty negative slot among the
+        # constrained ones, so an empty slot fails on any non-empty gap.
+        "negseq/model.py",
+        "for i, q in enumerate(negative_masks) if q]",
+        "for i, q in enumerate(negative_masks)]",
+        (
+            "tests/test_model.py::test_patterns_from_masks_equal_the_checked_ones",
+            "tests/test_mining.py::TestPruned::test_three_step_patterns_and_strong_occurrence",
+            "tests/test_orders.py::TestSuites::test_invariant_harness_sees_a_broken_slot_test",
+        ),
+    ),
+    Mutant(
+        "mask-tables-negative-drops-an-item",
+        # The enumerator's and the miner's shared Negative of a mask holds
+        # the mask without its lowest item.
+        "negseq/model.py",
+        "Negative(itemset(q))",
+        "Negative(itemset(q & q - 1))",
+        (
+            "tests/test_model.py::test_patterns_from_masks_equal_the_checked_ones",
+            "tests/test_mining.py::TestEnumeration::test_exactly_once_and_valid",
+            "tests/test_cli.py::test_mine_output_matches_golden[small-bounds0-8-weak-strict-partial]",
+        ),
+    ),
+    Mutant(
+        "draw-negative-table-shifted",
+        # The draws' negative of mask q is the one of mask q + 1.
+        "negseq/orders.py",
+        "tuple(map(Negative, _SMALL_ITEMSETS)).__getitem__",
+        "tuple(map(Negative, _SMALL_ITEMSETS[1:] + _SMALL_ITEMSETS[:1])).__getitem__",
+        (
+            "tests/test_model.py::test_patterns_from_masks_equal_the_checked_ones",
+            "tests/test_orders.py::TestDrawReplay::test_patterns_and_sequences_equal_the_stdlib_draws",
+        ),
+    ),
+    Mutant(
+        "draw-sequence-table-keyed-off-by-one",
+        # A drawn sequence reads each itemset of mask m as the one of m ^ 1.
+        "negseq/orders.py",
+        "{(it.mask.bit_length(), it.mask): it for it in _SMALL_ITEMSETS}",
+        "{(it.mask.bit_length(), it.mask ^ 1): it for it in _SMALL_ITEMSETS}",
+        (
+            "tests/test_model.py::test_patterns_from_masks_equal_the_checked_ones",
+            "tests/test_orders.py::TestDrawReplay::test_patterns_and_sequences_equal_the_stdlib_draws",
+        ),
+    ),
+    Mutant(
+        "lemma-loop-strict-total-from-partial",
+        # The lemma harness checks an embedding's strict-total slots with the
+        # strict-partial test.
+        "negseq/orders.py",
+        "combo_test[strict_kind, incl]",
+        "combo_test[strict_kind, partial_incl]",
+        (
+            "tests/test_orders.py::TestSuites::test_invariant_harness",
+            "tests/test_orders.py::TestSuites::test_invariant_harness_sees_a_broken_slot_test",
+            "tests/test_cli.py::test_verify_output_matches_golden[lemmas-extra3-text]",
+        ),
+    ),
+    Mutant(
+        "theta-index-occurrence-swapped",
+        # The stored index puts each strong relation at its weak one's place.
+        "negseq/model.py",
+        "2 * combo + (self.occurrence is Occurrence.WEAK)",
+        "2 * combo + (self.occurrence is Occurrence.STRONG)",
+        (
+            "tests/test_model.py::TestTheta::test_indices_are_pinned",
+            "tests/test_matching.py::TestSupport::test_support_consistency",
+        ),
+    ),
+    Mutant(
         "placement-memo-keyed-on-length",
         # The bruteforce miner reuses the placements of any earlier pattern
         # with as many positives.

@@ -23,7 +23,8 @@ from negseq import (
     pattern_length,
     positive_part,
 )
-from negseq.model import check_token
+from negseq.model import _mask_tables, check_token
+from negseq.orders import _DRAW_TABLES, _SEQUENCE_TABLE
 from negseq.textio import parse_database, parse_pattern, render_pattern
 
 
@@ -207,6 +208,19 @@ class TestTheta:
         for t in THETAS:
             assert Theta.parse(t.spell()) == t
 
+    def test_indices_are_pinned(self):
+        # Both indices are stored on construction; every spelling that
+        # parses, and every copy, reads the same ones, and neither index
+        # takes part in ==, hash or repr.
+        for t, theta in enumerate(THETAS):
+            spell = theta.spell()
+            spellings = (spell, spell.upper(), spell.title(), f"  {spell}\n")
+            copies = (copy.copy(theta), copy.deepcopy(theta), pickle.loads(pickle.dumps(theta)))
+            for same in (theta, *map(Theta.parse, spellings), *copies):
+                assert (same.index, same.combo_index) == (t, t // 2)
+                assert same == theta and hash(same) == hash(theta)
+                assert repr(same) == f"Theta({spell!r})"
+
     @pytest.mark.parametrize("bad", ["weak", "weak-strict", "soft-weak-total",
                                      "weak-strict-total-x", ""])
     def test_parse_rejects(self, bad):
@@ -253,6 +267,44 @@ def small_patterns(draw):
         for _ in range(k - 1)
     )
     return NegPattern(positives, negatives)
+
+
+@st.composite
+def pattern_masks(draw):
+    """Masks of 1-4 positives, one negative mask per slot, often 0, and a
+    mode per distinct negative mask: None or pinned, also on the empty one."""
+    k = draw(st.integers(1, 4))
+    positives = tuple(draw(st.integers(1, 63)) for _ in range(k))
+    negatives = tuple(
+        draw(st.one_of(st.just(0), st.integers(1, 63))) for _ in range(k - 1)
+    )
+    modes = {q: draw(st.sampled_from((None, *NegMode))) for q in sorted({0, *negatives})}
+    return positives, negatives, modes
+
+
+@given(pattern_masks())
+def test_patterns_from_masks_equal_the_checked_ones(masks):
+    positive_masks, negative_masks, modes = masks
+    negatives = {q: Negative(Itemset(q), mode) for q, mode in modes.items()}
+    positives = tuple(Itemset(mask) for mask in positive_masks)
+    checked = NegPattern(
+        positives, tuple(Negative(Itemset(q), modes[q]) for q in negative_masks)
+    )
+    unpinned = NegPattern(positives, tuple(Negative(Itemset(q)) for q in negative_masks))
+    # The draws' tables, and the fresh ones of the enumerator and the miner.
+    tables = (_DRAW_TABLES, _mask_tables())
+    built = [NegPattern.of_masks(positive_masks, negative_masks, Itemset, negatives.get)]
+    built += [NegPattern.of_masks(positive_masks, negative_masks, *t) for t in tables]
+    for pattern, expected in zip(built, (checked, unpinned, unpinned)):
+        copies = (copy.copy(pattern), pickle.loads(pickle.dumps(pattern)))
+        for same in (pattern, *copies):
+            assert same == expected and hash(same) == hash(expected)
+            assert repr(same) == repr(expected)
+            assert same.positive_masks == expected.positive_masks
+            assert same.constrained_slots == expected.constrained_slots
+    sequence = Sequence.of_masks(positive_masks, _SEQUENCE_TABLE)
+    assert sequence == Sequence(positives) and hash(sequence) == hash(Sequence(positives))
+    assert repr(sequence) == repr(Sequence(positives))
 
 
 @given(small_patterns())
