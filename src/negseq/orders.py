@@ -34,18 +34,17 @@ from .model import (
     Theta,
     THETAS,
     _mask_tables,
-    positive_part,
     singleton_negatives_only,
 )
 from .matching import (
     _COMBO_TEST,
     NotAPositiveEmbeddingError,
+    _iter_embeddings,
     _passes,
     all_theta_supports,
     check_embedding,
     is_contained,  # only for the bench tracer, which patches orders.is_contained
     non_inclusion,
-    positive_embeddings,
     theta_bits,
     theta_masks,
 )
@@ -937,8 +936,6 @@ def verify_invariants(draws: int = 10000, seed: int = 94001) -> tuple[InvariantC
         )
         for occ in Occurrence
     ]
-    # Draws repeat positive parts, so one run builds each once.
-    positive_parts: dict[tuple[int, ...], NegPattern] = {}
     # The 1-based positions of each mask over a sequence of at most six
     # itemsets, random_sequence's default length.
     positions = [tuple(j + 1 for j in itemset) for itemset in _SMALL_ITEMSETS]
@@ -972,12 +969,10 @@ def verify_invariants(draws: int = 10000, seed: int = 94001) -> tuple[InvariantC
         if non_inclusion(pp, ii, total_incl) and not non_inclusion(pp, ii, partial_incl):
             record(names[0], f"P={pp.items} I={ii.items}")
 
-        pplus = positive_parts.get(p.positive_masks)
-        if pplus is None:
-            pplus = positive_parts[p.positive_masks] = positive_part(p)
-        embeddings = positive_embeddings(pplus, s)
-        # positive_embeddings gives valid embeddings, so each one is checked
-        # as check_embedding checks it, without the re-validation.
+        # The placements of the positives, as positive_embeddings lists them.
+        # They are valid embeddings, so checks 2-4 test each one as
+        # check_embedding does, without the re-validation.
+        embeddings = list(_iter_embeddings(p.positive_masks, s.masks))
         for e in embeddings[:8]:
             index = [position - 1 for position in e]
             for total, strict_test, soft_test in incl_tests:

@@ -384,16 +384,12 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "positive-part-cache-keyed-on-length",
-        # The lemma harness reuses the positive part of any earlier pattern
-        # with as many positives.
+        "lemma-embeddings-of-the-reversed-positives",
+        # The lemma harness checks the placements of the positives in
+        # reverse order, not the pattern's own.
         "negseq/orders.py",
-        "        pplus = positive_parts.get(p.positive_masks)\n"
-        "        if pplus is None:\n"
-        "            pplus = positive_parts[p.positive_masks] = positive_part(p)\n",
-        "        pplus = positive_parts.get(len(p.positives))\n"
-        "        if pplus is None:\n"
-        "            pplus = positive_parts[len(p.positives)] = positive_part(p)\n",
+        "_iter_embeddings(p.positive_masks, s.masks)",
+        "_iter_embeddings(p.positive_masks[::-1], s.masks)",
         (
             "tests/test_orders.py::TestSuites::test_invariant_harness",
             "tests/test_cli.py::test_verify_output_matches_golden[lemmas-extra3-text]",
