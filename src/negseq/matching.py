@@ -148,7 +148,8 @@ def positive_embeddings(pplus: NegPattern, s: Sequence) -> list[Embedding]:
 
     ``pplus`` must carry no negative constraints; use
     :func:`negseq.model.positive_part` first if it does. An oracle helper: the
-    tests and the lemmas suite check the core against it; the core never calls it.
+    tests check the core against it, and the lemmas suite lists placements
+    with its enumeration; the core never calls it.
     """
     if any(negative.itemset for negative in pplus.negatives):
         raise ValueError("positive_embeddings expects a pattern without negatives")
