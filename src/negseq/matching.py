@@ -28,8 +28,8 @@ Every relation quantifies over all placements of the positives, of which
 there can be exponentially many. No decision enumerates them: one containment
 decision, and one witness or violator, costs O(k*n) mask operations for k
 positives and n itemsets (see the core below). ``_iter_embeddings``, the
-enumeration itself, serves only :func:`positive_embeddings`, the oracle that
-tests check the core against.
+enumeration itself, serves :func:`positive_embeddings`, the oracle that
+tests check the core against, and the lemmas suite's per-placement checks.
 """
 
 from __future__ import annotations
