@@ -544,8 +544,9 @@ def test_mine_output_matches_golden(capsys, name, bounds, minsup, theta):
 MATCH_PATTERNS = ("<b !(c d) a>", "<f !|a c| b !(a c) a>")
 
 
-def _match_blocks(name: str) -> list[str]:
-    text = (GOLDEN / f"match_small_{name}.txt").read_text()
+def _golden_blocks(stem: str) -> list[str]:
+    """The blocks of a golden file, each starting at its ``exit`` line."""
+    text = (GOLDEN / f"{stem}.txt").read_text()
     return re.split(r"^(?=exit )", text, flags=re.M)[1:]
 
 
@@ -555,7 +556,7 @@ def test_match_all_thetas_matches_golden(capsys, index, pattern):
         capsys, "match", "--db", str(DATA / "mine_small.txt"), "--pattern", pattern,
         "--all-thetas",
     )
-    assert f"exit {code}\n" + out == _match_blocks("all_thetas")[index]
+    assert f"exit {code}\n" + out == _golden_blocks("match_small_all_thetas")[index]
 
 
 @pytest.mark.parametrize("theta", THETAS, ids=lambda t: t.spell())
@@ -565,7 +566,7 @@ def test_match_explain_matches_golden(capsys, index, pattern, theta):
         capsys, "match", "--db", str(DATA / "mine_small.txt"), "--pattern", pattern,
         "--theta", theta.spell(), "--explain",
     )
-    block = _match_blocks("explain")[index * len(THETAS) + theta.index]
+    block = _golden_blocks("match_small_explain")[index * len(THETAS) + theta.index]
     assert f"exit {code}\n" + out == block
 
 
@@ -586,6 +587,70 @@ def test_match_rows_without_explain_are_the_explain_verdicts(capsys, index, patt
     assert plain[0] == "seq,contained"
     assert plain[1:] == [",".join(row.split(",")[:2]) for row in explained[1:]]
     assert len(plain) == len(explained) > 1
+
+
+# The report golden holds, for text and then csv, the exit code and stdout
+# of one report over REPORT_PATTERNS. Item ids follow first appearance in
+# mine_small (b g a c d h f e), which is neither token nor pattern order, and
+# several itemsets list their items out of id order; z is not in the
+# database.
+REPORT_PATTERNS = (
+    "<(g d) !(f h) b>", "<(e b) !(g a) b>", "<b !(c d) a>", "<f !(z c) (g b) a>",
+    "<d !{a g} (f b)>",
+)
+
+
+@pytest.mark.parametrize("index, fmt", enumerate(["text", "csv"]))
+def test_report_matches_golden(capsys, index, fmt):
+    patterns = [arg for pattern in REPORT_PATTERNS for arg in ("--pattern", pattern)]
+    code, out, _ = invoke(
+        capsys, "report", "--db", str(DATA / "mine_small.txt"), *patterns, "--format", fmt
+    )
+    assert f"exit {code}\n" + out == _golden_blocks("report_small")[index]
+
+
+# mine_small.spmf holds mine_small's sequences with a..h written as 1..8.
+# Per pattern of MATCH_PATTERNS so written: match --all-thetas, match
+# --explain under each relation in THETAS order and support --all-thetas;
+# then a csv report over REPORT_PATTERNS so written, with 99 for z.
+SPMF_ITEMS = str.maketrans("abcdefgh", "12345678")
+
+
+def _spmf_cases() -> list[tuple[str, ...]]:
+    db = ("--db", str(DATA / "mine_small.spmf"), "--db-format", "spmf")
+    cases = []
+    for pattern in MATCH_PATTERNS:
+        pattern = pattern.translate(SPMF_ITEMS)
+        cases.append(("match", *db, "--pattern", pattern, "--all-thetas"))
+        cases += [
+            ("match", *db, "--pattern", pattern, "--theta", theta.spell(), "--explain")
+            for theta in THETAS
+        ]
+        cases.append(("support", *db, "--pattern", pattern, "--all-thetas"))
+    patterns = [
+        arg
+        for pattern in REPORT_PATTERNS
+        for arg in ("--pattern", pattern.replace("z", "99").translate(SPMF_ITEMS))
+    ]
+    cases.append(("report", *db, *patterns, "--format", "csv"))
+    return cases
+
+
+@pytest.mark.parametrize("index", range(len(_spmf_cases())))
+def test_spmf_output_matches_golden(capsys, index):
+    code, out, _ = invoke(capsys, *_spmf_cases()[index])
+    assert f"exit {code}\n" + out == _golden_blocks("spmf_small")[index]
+
+
+def test_database_error_comes_before_a_pattern_error(capsys, tmp_path):
+    path = tmp_path / "db.txt"
+    path.write_text("a b\na (b c\n")
+    for command in ("match", "support", "report"):
+        extra = ("--all-thetas",) if command != "report" else ()
+        code, out, err = invoke(
+            capsys, command, "--db", str(path), "--pattern", "<a !", *extra
+        )
+        assert (code, out, err) == (2, "", "error: line 2, column 3: unclosed '('\n")
 
 
 def _failing_reports():
@@ -759,6 +824,27 @@ class TestSpmfThroughCli:
         )
         assert code == 0
         assert out == "1\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # The first line holds no item of the pattern.
+            ("1 -1 2 -1 -2\n3 5 -2\n", "line 2: itemset not closed with -1 before -2"),
+            ("1 -1 -1 -2\n", "line 1: empty itemset (consecutive -1 markers)"),
+        ],
+    )
+    def test_itemset_markers_are_checked_whatever_the_pattern(
+        self, capsys, tmp_path, text, message
+    ):
+        path = tmp_path / "db.spmf"
+        path.write_text(text)
+        for command in ("match", "support", "report"):
+            extra = ("--all-thetas",) if command != "report" else ()
+            code, out, err = invoke(
+                capsys, command, "--db", str(path), "--db-format", "spmf",
+                "--pattern", "<2>", *extra,
+            )
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # --- the exit-code contract, fuzzed -------------------------------------------
