@@ -27,14 +27,18 @@ from typing import Iterator
 from .matching import all_theta_supports, contains, is_contained, support, theta_bits
 from .model import (
     NegseqError,
+    RESERVED_CHARS,
     Theta,
     THETAS,
 )
+# textio's load_database when no kept tokens are given. Bound under that name
+# because the bench tracer replaces it (module docstring).
+from .textio import _load_database as load_database
 from .textio import (
+    _TOKEN,
     aligned_rows,
     csv_row,
     dominance_table_to_text,
-    load_database,
     parse_pattern,
     render_pattern,
     render_sequence,
@@ -180,6 +184,14 @@ def _verdict_cells() -> tuple[str, ...]:
     )
 
 
+def _load_for(args, texts: list[str]):
+    """The database of ``args``, projected onto the item tokens of the
+    pattern ``texts`` (``textio``'s docstring). Reading those tokens never
+    raises, so a database error still comes before a pattern error."""
+    kept = set(_TOKEN.findall(" ".join(texts))) - RESERVED_CHARS
+    return load_database(args.db, args.db_format, kept)
+
+
 def _match_rows(pattern, sequences, theta: Theta, explain: bool) -> Iterator[str]:
     """The lines of ``match --theta``, one per sequence. Without ``explain``
     no embedding is printed, so each sequence is only decided."""
@@ -200,7 +212,7 @@ def _match_rows(pattern, sequences, theta: Theta, explain: bool) -> Iterator[str
 def _cmd_match(args) -> int:
     if args.all_thetas and args.explain:
         raise ValueError("--explain needs --theta; --all-thetas prints no embeddings")
-    db = load_database(args.db, args.db_format)
+    db = _load_for(args, [args.pattern])
     pattern = parse_pattern(args.pattern, db.dictionary)
     if args.all_thetas:
         header = ["seq"] + [t.spell() for t in THETAS]
@@ -221,7 +233,7 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_support(args) -> int:
-    db = load_database(args.db, args.db_format)
+    db = _load_for(args, [args.pattern])
     pattern = parse_pattern(args.pattern, db.dictionary)
     if args.all_thetas:
         counts = all_theta_supports(pattern, db)
@@ -394,7 +406,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    db = load_database(args.db, args.db_format)
+    db = _load_for(args, args.pattern)
     patterns = [parse_pattern(text, db.dictionary) for text in args.pattern]
     header = ["pattern"] + [_theta_header(t) for t in THETAS]
     rows = [header]

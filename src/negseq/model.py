@@ -202,9 +202,10 @@ class Sequence:
     def of_masks(
         cls, masks: tuple[int, ...], table: dict[tuple[int, int], Itemset]
     ) -> "Sequence":
-        """A sequence of non-zero ``masks`` whose itemsets are built when
-        first read. ``table`` is shared by the sequences of one load, so each
-        distinct mask reads as one shared Itemset."""
+        """A sequence of ``masks`` whose itemsets are built when first read;
+        a mask is 0 only for an itemset that a projected load kept none of
+        (``textio``). ``table`` is shared by the sequences of one load, so
+        each distinct mask reads as one shared Itemset."""
         sequence = object.__new__(cls)
         object.__setattr__(sequence, "_itemsets", None)
         object.__setattr__(sequence, "masks", masks)

@@ -33,6 +33,13 @@ Both database readers produce masks and nothing else: a loaded
 :class:`Sequence` builds its Itemsets when they are first read, from one
 mask -> Itemset table per parse, so each distinct mask of a database is one
 shared Itemset.
+
+A relation reads a sequence only through its pattern's items, so the CLI's
+``match``, ``support`` and ``report`` load projected onto their patterns'
+item tokens. Every line is still checked, but another token gets no id and
+adds no bit: an itemset of such tokens reads as mask 0 and keeps its
+position. Kept tokens get ids in first-appearance order, as in a full load,
+so a pattern renders the same over both.
 """
 
 from __future__ import annotations
@@ -224,7 +231,9 @@ def render_sequence(sequence: Sequence, dictionary: Dictionary) -> str:
 class _Singletons(dict):
     """The tables of one parse. As a dict, token -> one-item mask,
     ``1 << id``; an unseen token is registered on lookup, so a token seen
-    before never reaches the dictionary. ``itemsets`` is the mask -> Itemset
+    before never reaches the dictionary. With ``kept``, the parse is
+    projected onto those tokens: any other token maps to 0 and is never
+    registered, so a loaded mask may be 0. ``itemsets`` is the mask -> Itemset
     table that the parse's sequences build their itemsets from when those
     are first read (:meth:`Sequence.of_masks`); a parse itself builds no
     Itemset.
@@ -234,14 +243,18 @@ class _Singletons(dict):
     and the spmf reader the decimal digits of a non-negative int.
     """
 
-    __slots__ = ("dictionary", "itemsets")
+    __slots__ = ("dictionary", "itemsets", "kept")
 
-    def __init__(self, dictionary: Dictionary):
+    def __init__(self, dictionary: Dictionary, kept: set[str] | None = None):
         self.dictionary = dictionary
         self.itemsets: dict[tuple[int, int], Itemset] = {}
+        self.kept = kept
 
     def __missing__(self, token: str) -> int:
-        found = self[token] = 1 << self.dictionary._add_valid(token)
+        kept = self.kept
+        found = self[token] = (
+            1 << self.dictionary._add_valid(token) if kept is None or token in kept else 0
+        )
         return found
 
 
@@ -270,14 +283,14 @@ def _parse_native_line(line: str, lineno: int, singletons: _Singletons) -> Seque
             masks.extend(map(lookup, after.split()))
         else:
             return Sequence.of_masks(tuple(masks), singletons.itemsets)
-    _raise_native_error(line, lineno, singletons.dictionary)
+    _raise_native_error(line, lineno, singletons)
 
 
-def _raise_native_error(line: str, lineno: int, dictionary: Dictionary) -> NoReturn:
+def _raise_native_error(line: str, lineno: int, singletons: _Singletons) -> NoReturn:
     """Raise the error of the first token of ``line``, left to right, that
     does not fit the native grammar, with its 1-based column.
 
-    The item tokens before that token are registered in ``dictionary`` in
+    The item tokens before that token are looked up in ``singletons`` in
     order: the reader may have stopped short of some of them, and a rejected
     line leaves the same dictionary behind wherever the reader stopped.
     """
@@ -286,7 +299,7 @@ def _raise_native_error(line: str, lineno: int, dictionary: Dictionary) -> NoRet
     for match in _TOKEN.finditer(line):
         token, column = match.group(), match.start() + 1
         if token not in RESERVED_CHARS:
-            dictionary.add(token)
+            singletons[token]  # registers it, if kept
             empty = False
         elif token == "(" and not opened:
             opened, empty = column, True
@@ -308,7 +321,7 @@ _SPMF_INTEGER = re.compile("[+-]?[0-9]+")
 
 def _parse_spmf_line(line: str, lineno: int, singletons: _Singletons) -> Sequence:
     masks: list[int] = []
-    mask = 0
+    mask = None  # until an item is read, which a projected load may map to 0
     terminated = False
     for raw in line.split():
         if not _SPMF_INTEGER.fullmatch(raw):
@@ -317,23 +330,23 @@ def _parse_spmf_line(line: str, lineno: int, singletons: _Singletons) -> Sequenc
         if terminated:
             raise DatabaseParseError("items after sequence terminator -2", lineno)
         if value == -2:
-            if mask:
+            if mask is not None:
                 raise DatabaseParseError(
                     "itemset not closed with -1 before -2", lineno
                 )
             terminated = True
         elif value == -1:
-            if not mask:
+            if mask is None:
                 raise EmptyItemsetError(
                     "empty itemset (consecutive -1 markers)", lineno
                 )
             masks.append(mask)
-            mask = 0
+            mask = None
         elif value < 0:
             raise DatabaseParseError(f"unexpected marker {value}", lineno)
         else:
             # Keyed by value, so "01", "+1" and "1" are one item.
-            mask |= singletons[str(value)]
+            mask = singletons[str(value)] | (mask or 0)
     if not terminated:
         raise DatabaseParseError("sequence not terminated with -2", lineno)
     return Sequence.of_masks(tuple(masks), singletons.itemsets)
@@ -346,10 +359,15 @@ def parse_sequence(text: str, dictionary: Dictionary) -> Sequence:
 
 def parse_database(text: str, format: str = "native") -> SequenceDatabase:
     """Parse database text; see :func:`load_database` for the formats."""
+    return _parse_database(text, format)
+
+
+def _parse_database(text: str, format: str, kept: set[str] | None = None) -> SequenceDatabase:
+    """:func:`parse_database`, projected onto the tokens ``kept`` if given."""
     if format not in ("native", "spmf"):
         raise ValueError(f"unknown database format {format!r}")
     parse_line = _parse_native_line if format == "native" else _parse_spmf_line
-    singletons = _Singletons(Dictionary())
+    singletons = _Singletons(Dictionary(), kept)
     sequences: list[Sequence] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -373,9 +391,16 @@ def load_database(path: str, format: str = "native") -> SequenceDatabase:
     the sequence. An integer is ASCII digits with an optional sign, and an
     item is keyed by its value, so ``01``, ``+1`` and ``1`` are one item. The
     dictionary is built in first-appearance order.
+
+    This loads every item; the CLI's projected loads, whose masks may be 0,
+    go through :func:`_load_database` (module docstring).
     """
+    return _load_database(path, format)
+
+
+def _load_database(path: str, format: str, kept: set[str] | None = None) -> SequenceDatabase:
     with open(path, "r", encoding="utf-8-sig") as handle:
-        return parse_database(handle.read(), format)
+        return _parse_database(handle.read(), format, kept)
 
 
 def dump_database(db: SequenceDatabase) -> str:

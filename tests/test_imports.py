@@ -142,6 +142,7 @@ class TestPublicNames:
 
 # The cli globals that the bench tracer replaces by name before a traced pass.
 PATCH_POINTS = (
+    "load_database",
     "mine_pruned",
     "mine_bruteforce",
     "default_space",
@@ -177,9 +178,15 @@ def test_patched_cli_names_are_the_ones_called():
     # otherwise a traced bench run silently counts nothing for it.
     mine = ["mine", "--db", MINE_SMALL, "--theta", "weak-strict-total", "--minsup", "6",
             "--max-positives", "2"]
+    pattern = ["--db", MINE_SMALL, "--pattern", "<a !b d>"]
     argvs = [
         mine,
         mine + ["--engine", "bruteforce"],
+        # These three load projected onto their patterns' items, through
+        # the same name.
+        ["match", *pattern, "--all-thetas"],
+        ["support", *pattern, "--all-thetas"],
+        ["report", *pattern],
         ["verify", "--suite", "lemmas", "--draws", "50"],
         ["verify", "--suite", "dominance"],
         ["verify", "--suite", "antimono"],
@@ -190,8 +197,9 @@ def test_patched_cli_names_are_the_ones_called():
     )
     # The equivalence suite reports the specification's singleton count of 4
     # as a violation, by design.
-    assert result["codes"] == [0, 0, 0, 0, 0, 1]
+    assert result["codes"] == [0, 0, 0, 0, 0, 0, 0, 0, 1]
     assert all(result["calls"][name] >= 1 for name in PATCH_POINTS), result["calls"]
+    assert result["calls"]["load_database"] == 5
 
 
 _LOADED_SCRIPT = """
