@@ -512,6 +512,73 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "projection-keeps-only-positive-items",
+        # match, support and report load projected onto their patterns'
+        # positive items only, so a negative's items read as absent.
+        "negseq/cli.py",
+        '    kept = set(_TOKEN.findall(" ".join(texts))) - RESERVED_CHARS\n',
+        "    kept = set(_TOKEN.findall(\" \".join(__import__(\"re\").sub(\n"
+        "        r\"[!¬](\\([^)]*\\)?|\\{[^}]*\\}?|\\|[^|]*\\|?|[^\\s()<>{}|!,#¬]*)\", \"\", t)\n"
+        "        for t in texts\n"
+        "    ))) - RESERVED_CHARS\n",
+        (
+            "tests/test_cli.py::test_report_matches_golden",
+            "tests/test_cli.py::test_match_all_thetas_matches_golden",
+            "tests/test_cli.py::test_spmf_output_matches_golden",
+        ),
+    ),
+    Mutant(
+        "projected-ids-in-pattern-order",
+        # The kept items that the database holds get their ids in the order
+        # the pattern texts list them, not in the order the database does.
+        "negseq/cli.py",
+        "    return load_database(args.db, args.db_format, kept)\n",
+        "    db = load_database(args.db, args.db_format, kept)\n"
+        "    order = [t for t in dict.fromkeys(_TOKEN.findall(\" \".join(texts)))"
+        " if t in db.dictionary]\n"
+        "    ids = [order.index(t) for t in db.dictionary]\n"
+        "    remap = lambda m: sum(1 << ids[i] for i in range(len(ids)) if m >> i & 1)\n"
+        "    sequences = [type(s).of_masks(tuple(map(remap, s.masks)), {}) for s in db.sequences]\n"
+        "    return type(db)(tuple(sequences), type(db.dictionary)(order))\n",
+        (
+            "tests/test_cli.py::test_report_matches_golden",
+            "tests/test_cli.py::test_spmf_output_matches_golden",
+        ),
+    ),
+    Mutant(
+        "projection-registers-every-token",
+        # A projected load gives every token an id, as a full load does.
+        "negseq/textio.py",
+        "if kept is None or token in kept else 0",
+        "if True else 0",
+        ("tests/test_textio.py::test_projected_load_decides_as_the_full_load",),
+    ),
+    Mutant(
+        "spmf-marker-checks-read-the-mask",
+        # The spmf reader decides its unclosed- and empty-itemset errors from
+        # the mask, which a projected load leaves 0 for unkept items.
+        "negseq/textio.py",
+        "            if mask is not None:\n"
+        "                raise DatabaseParseError(\n"
+        "                    \"itemset not closed with -1 before -2\", lineno\n"
+        "                )\n"
+        "            terminated = True\n"
+        "        elif value == -1:\n"
+        "            if mask is None:\n",
+        "            if mask:\n"
+        "                raise DatabaseParseError(\n"
+        "                    \"itemset not closed with -1 before -2\", lineno\n"
+        "                )\n"
+        "            terminated = True\n"
+        "        elif value == -1:\n"
+        "            if not mask:\n",
+        (
+            "tests/test_cli.py::TestSpmfThroughCli"
+            "::test_itemset_markers_are_checked_whatever_the_pattern[unclosed-after-an-unkept-item]",
+            "tests/test_textio.py::test_projected_load_decides_as_the_full_load",
+        ),
+    ),
+    Mutant(
         "unclosed-group-read-to-the-end",
         # The native line reader takes a '(' with no ')' after it as a group
         # that runs to the end of the line, or to the next '('.

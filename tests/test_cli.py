@@ -832,6 +832,7 @@ class TestSpmfThroughCli:
             ("1 -1 2 -1 -2\n3 5 -2\n", "line 2: itemset not closed with -1 before -2"),
             ("1 -1 -1 -2\n", "line 1: empty itemset (consecutive -1 markers)"),
         ],
+        ids=["unclosed-after-an-unkept-item", "consecutive-markers"],
     )
     def test_itemset_markers_are_checked_whatever_the_pattern(
         self, capsys, tmp_path, text, message

@@ -1,9 +1,10 @@
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from negseq import (
+    THETAS,
     DatabaseParseError,
     Dictionary,
     EmptyItemsetError,
@@ -23,10 +24,13 @@ from negseq import (
     parse_sequence,
     render_pattern,
     render_sequence,
+    all_theta_supports,
+    contains,
     save_database,
+    theta_bits,
 )
 from negseq.model import RESERVED_CHARS
-from negseq.textio import _TOKEN, aligned_rows, csv_row
+from negseq.textio import _TOKEN, _parse_database, aligned_rows, csv_row
 
 
 class TestParsePattern:
@@ -616,3 +620,79 @@ class TestRendering:
         assert rows[5] == ["strong-strict-total", ">", ">", ">", ">", ".", ">", ">", ">"]
         grid = dominance_table_to_text(table)
         assert "strong-soft-total" in grid.splitlines()[0]
+
+
+# --- projected loads ----------------------------------------------------------
+
+# The CLI fuzzer's words (tests/test_cli.py) and a second spmf item.
+PROJECTION_WORDS = ["a", "b", "é", "1", "2", "-1", "-2", *sorted(RESERVED_CHARS)]
+PROJECTION_ITEMS = ["a", "b", "é", "1", "2"]
+
+
+def _itemset_text(items, format):
+    if format == "spmf":
+        return " ".join(items) + " -1"
+    return items[0] if len(items) == 1 else "(" + " ".join(items) + ")"
+
+
+@st.composite
+def projection_cases(draw):
+    """A database text in either format, with valid lines, lines over the
+    fuzzer's words (mostly rejected) or both; a set of kept tokens, empty
+    included; and pattern texts over the kept tokens."""
+    format = draw(st.sampled_from(["native", "spmf"]))
+    itemset = st.lists(st.sampled_from(PROJECTION_ITEMS), min_size=1, max_size=3).map(
+        lambda items: _itemset_text(items, format)
+    )
+    valid_line = st.lists(itemset, min_size=1, max_size=5).map(
+        lambda itemsets: " ".join(itemsets) + (" -2" if format == "spmf" else "")
+    )
+    word_line = st.lists(st.sampled_from(PROJECTION_WORDS), max_size=8).flatmap(
+        lambda words: st.sampled_from([" ".join(words), "".join(words)])
+    )
+    line = st.one_of(valid_line, word_line) if draw(st.booleans()) else valid_line
+    text = "\n".join(draw(st.lists(line, max_size=5)))
+    # "x" is in no database.
+    kept = draw(st.sets(st.sampled_from([*PROJECTION_ITEMS, "x"])))
+    patterns = []
+    if kept:
+        items = st.lists(st.sampled_from(sorted(kept)), min_size=1, max_size=2)
+        for _ in range(draw(st.integers(1, 3))):
+            parts = [_itemset_text(draw(items), "native")]
+            for _ in range(draw(st.integers(0, 2))):
+                if draw(st.booleans()):
+                    opening, closing = draw(st.sampled_from(["()", "{}", "||"]))
+                    parts.append("!" + opening + " ".join(draw(items)) + closing)
+                parts.append(_itemset_text(draw(items), "native"))
+            patterns.append("<" + " ".join(parts) + ">")
+    return text, format, kept, patterns
+
+
+@settings(max_examples=300, deadline=None)
+@given(projection_cases(), st.sampled_from(THETAS))
+def test_projected_load_decides_as_the_full_load(case, theta):
+    text, format, kept, patterns = case
+    try:
+        full = parse_database(text, format)
+    except DatabaseParseError as error:
+        with pytest.raises(type(error)) as projected_error:
+            _parse_database(text, format, kept)
+        assert error_of(projected_error.value) == error_of(error)
+        return
+    projected = _parse_database(text, format, kept)
+    # Only kept tokens get ids, in the order of the full load; every itemset
+    # keeps its position.
+    assert list(projected.dictionary) == [t for t in full.dictionary if t in kept]
+    assert [len(s) for s in projected.sequences] == [len(s) for s in full.sequences]
+    for pattern in patterns:
+        p_full = parse_pattern(pattern, full.dictionary)
+        p_projected = parse_pattern(pattern, projected.dictionary)
+        assert render_pattern(p_projected, projected.dictionary) == render_pattern(
+            p_full, full.dictionary
+        )
+        assert all_theta_supports(p_projected, projected) == all_theta_supports(p_full, full)
+        for s_full, s_projected in zip(full.sequences, projected.sequences):
+            assert theta_bits(p_projected, s_projected) == theta_bits(p_full, s_full)
+            reports = [contains(p_full, s_full, theta), contains(p_projected, s_projected, theta)]
+            assert reports[0] == reports[1]
+            assert reports[0].total_positive_embeddings == reports[1].total_positive_embeddings
