@@ -231,12 +231,12 @@ def render_sequence(sequence: Sequence, dictionary: Dictionary) -> str:
 class _Singletons(dict):
     """The tables of one parse. As a dict, token -> one-item mask,
     ``1 << id``; an unseen token is registered on lookup, so a token seen
-    before never reaches the dictionary. With ``kept``, the parse is
-    projected onto those tokens: any other token maps to 0 and is never
-    registered, so a loaded mask may be 0. ``itemsets`` is the mask -> Itemset
-    table that the parse's sequences build their itemsets from when those
-    are first read (:meth:`Sequence.of_masks`); a parse itself builds no
-    Itemset.
+    before never reaches the dictionary. With ``kept``, as the CLI's
+    ``match``, ``support`` and ``report`` load, the parse is projected onto
+    those tokens: another maps to 0 and is never registered, so a mask may
+    be 0. ``itemsets`` is the mask -> Itemset table that the parse's
+    sequences build their itemsets from when those are first read
+    (:meth:`Sequence.of_masks`); a parse itself builds no Itemset.
 
     Registration skips ``check_token``: the readers look up only tokens
     they know to be valid, the native reader after its per-line checks

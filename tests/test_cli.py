@@ -828,7 +828,7 @@ class TestSpmfThroughCli:
     @pytest.mark.parametrize(
         "text, message",
         [
-            # The first line holds no item of the pattern.
+            # The first itemset holds no item of the pattern.
             ("1 -1 2 -1 -2\n3 5 -2\n", "line 2: itemset not closed with -1 before -2"),
             ("1 -1 -1 -2\n", "line 1: empty itemset (consecutive -1 markers)"),
         ],
