@@ -699,7 +699,7 @@ MUTANTS = (
         # Wording the error of a rejected line no longer registers the items
         # before it, so parse_sequence leaves a different dictionary behind.
         "negseq/textio.py",
-        "            dictionary.add(token)\n            empty = False\n",
+        "            singletons[token]  # registers it, if kept\n            empty = False\n",
         "            empty = False\n",
         (
             "tests/test_textio.py::test_sequence_reader_agrees_with_the_token_rule",
