@@ -5,11 +5,10 @@ weak/strong occurrence to support counting. All functions are pure.
 
 Two engines decide containment. The per-sequence core decides one pattern
 in one sequence, each relation from its own slot test and from the earliest
-and latest placements of the positives; :func:`contains` (with witness and
-violator, and a count of the placements made only when it is read),
-:func:`is_contained`, :func:`theta_bits`, the support counts and the
-bruteforce miner use it. Every relation needs the positive part to embed,
-so a support count decides a pattern only in the sequences that
+and latest placements of the positives; :func:`contains` (with witness
+and violator), :func:`is_contained`, :func:`theta_bits`, the support counts
+and the bruteforce miner use it. Every relation needs the positive part to
+embed, so a support count decides a pattern only in the sequences that
 :func:`_placed` finds for its positives, from the placements found there;
 the bruteforce miner finds them once for a run of candidates with the same
 positives. A decision works from a :func:`_plan`, which keeps each weak
@@ -27,9 +26,11 @@ inserted into a slot.
 Every relation quantifies over all placements of the positives, of which
 there can be exponentially many. No decision enumerates them: one containment
 decision, and one witness or violator, costs O(k*n) mask operations for k
-positives and n itemsets (see the core below). ``_iter_embeddings``, the
-enumeration itself, serves :func:`positive_embeddings`, the oracle that
-tests check the core against, and the lemmas suite's per-placement checks.
+positives and n itemsets (see the core below). So does their count, which
+:func:`contains` reports and makes only when it is read: one mask test per
+positive and itemset. ``_iter_embeddings``, the enumeration itself, serves
+:func:`positive_embeddings`, the oracle that tests check the core against,
+and the lemmas suite's per-placement checks.
 """
 
 from __future__ import annotations
@@ -115,30 +116,16 @@ def _iter_embeddings(
             return
 
 
-def _count_embeddings(
-    pos_masks: tuple[int, ...],
-    seq_masks: tuple[int, ...],
-    first: list[int],
-    last: list[int],
-) -> int:
-    """Number of placements of the positives. Positive i only sits between
-    ``first[i]`` and ``last[i]``, so this costs one mask test per index of
-    each window."""
-    # ways[x]: placements of the positives so far whose latest one sits at an
-    # index at most lo + x. Before the first positive there is one (empty)
-    # placement, whatever the index.
-    lo = first[0] - 1
-    ways = [1]
-    for pmask, a, b in zip(pos_masks, first, last):
-        placed = []
-        count = 0
-        end = len(ways) - 1
-        for j in range(a, b + 1):
-            if pmask & seq_masks[j] == pmask:
-                x = j - 1 - lo
-                count += ways[x] if x < end else ways[end]
-            placed.append(count)
-        lo = a
+def _count_embeddings(pos_masks: tuple[int, ...], seq_masks: tuple[int, ...]) -> int:
+    """Number of placements of the positives: one mask test per positive
+    and itemset."""
+    # ways[j]: placements of the positives so far within the first j
+    # itemsets. Before the first positive there is one (empty) placement.
+    ways = [1] * (len(seq_masks) + 1)
+    for pmask in pos_masks:
+        placed = [0]
+        for j, smask in enumerate(seq_masks):
+            placed.append(placed[j] + ways[j] if pmask & smask == pmask else placed[j])
         ways = placed
     return ways[-1]
 
@@ -487,16 +474,15 @@ class MatchReport:
     ``violator`` is None.
 
     ``total_positive_embeddings`` is the exact number of embeddings,
-    counted when it is read, in O(k*n) mask operations from the earliest and
-    latest placements. It is not a field: it takes no part in ``==`` or
-    ``repr``.
+    counted when it is read, in O(k*n) mask operations. It is not a field:
+    it takes no part in ``==`` or ``repr``.
     """
 
     contained: bool
     witness: Embedding | None
     violator: Embedding | None
-    # The positives, the itemsets and the earliest and latest placements
-    # that the count reads; None when the positives do not embed.
+    # The positives and the itemsets that the count reads; None when the
+    # positives do not embed.
     _placements: tuple | None = field(default=None, kw_only=True, repr=False, compare=False)
 
     @property
@@ -531,9 +517,7 @@ def contains(p: NegPattern, s: Sequence, theta: Theta) -> MatchReport:
         contained = witness is not None
     else:
         contained = violator is None
-    return MatchReport(
-        contained, witness, violator, _placements=(pos_masks, seq_masks, first, last)
-    )
+    return MatchReport(contained, witness, violator, _placements=(pos_masks, seq_masks))
 
 
 def is_contained(p: NegPattern, s: Sequence, theta: Theta) -> bool:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache, partial, reduce
 from itertools import chain, combinations, repeat
-from math import ceil, log
 from operator import eq, or_
 from typing import Callable, Iterable, Iterator, Sequence as SequenceABC
 
@@ -725,29 +724,13 @@ def _below(rng: random.Random, n: int) -> int:
 
 
 def _sample_mask(rng: random.Random, n: int, k: int) -> int:
-    # The bitmask of rng.sample(range(n), k), drawn as CPython draws it: by
-    # swaps in a pool of n when that list is smaller than a set of k, else by
-    # redrawing any index already taken. Up to six items, the pool path is a
-    # walk of _sample_tree.
+    # The bitmask of rng.sample(range(n), k). Up to six items, a walk of
+    # _sample_tree replays the draw; above that the standard library draws.
     if not 0 <= k <= n:
         raise ValueError("Sample larger than population or is negative")
     if n <= _TREE_ITEMS:
         return _walk(_sample_tree(n, k), rng)
-    setsize = 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
-    mask = 0
-    if n <= setsize:
-        pool = list(range(n))
-        for i in range(k):
-            j = _below(rng, n - i)
-            mask |= 1 << pool[j]
-            pool[j] = pool[n - i - 1]
-    else:
-        for _ in range(k):
-            j = _below(rng, n)
-            while mask >> j & 1:
-                j = _below(rng, n)
-            mask |= 1 << j
-    return mask
+    return Itemset.of(rng.sample(range(n), k)).mask
 
 
 # Draws over at most six items replay on trees, so they build no pool. A
@@ -772,7 +755,8 @@ def _draw_node(m: int, kid: Callable[[int], list | int]) -> list:
 
 
 def _pool_node(pool: tuple[int, ...], k: int, mask: int) -> list | int:
-    # The last k draws of _sample_mask's pool path, from ``pool`` on.
+    # The last k draws of rng.sample from ``pool`` on: over so few items it
+    # moves the last entry of its pool into each drawn index.
     if not k:
         return mask
     last = len(pool) - 1
@@ -802,13 +786,13 @@ def _walk(node: list | int, rng: random.Random) -> int:
 @cache
 def _itemset_draw(n: int, low: int, high: int) -> Callable[[random.Random], int]:
     # The draw of the mask of rng.sample(range(n), rng.randint(low, high)):
-    # a walk of a tree where one applies, else the draws one by one. Cached,
-    # as a random pattern asks for two: callers pass a few fixed bounds, so
-    # the cache stays small.
+    # a walk of a tree up to six items, else the standard library's draws.
+    # Cached, as a random pattern asks for two: callers pass a few fixed
+    # bounds, so the cache stays small.
     if low <= high <= n <= _TREE_ITEMS:
         tree = _draw_node(high - low + 1, lambda r: _sample_tree(n, low + r))
         return partial(_walk, tree)
-    return lambda rng: _sample_mask(rng, n, low + _below(rng, high - low + 1))
+    return lambda rng: Itemset.of(rng.sample(range(n), rng.randint(low, high))).mask
 
 
 def random_pattern(
@@ -821,8 +805,9 @@ def random_pattern(
 ) -> NegPattern:
     """A random pattern, with the draws of ``rng.randint`` and
     ``rng.sample(range(alphabet), size)`` for the number of positives and
-    each itemset. They are replayed on ``rng.getrandbits``, which is faster;
-    a test compares the replay with the standard library over many seeds.
+    each itemset. Over at most six items they are replayed on
+    ``rng.getrandbits``, which is faster, and above that the standard
+    library draws; a test compares both with it over many seeds.
     The draws give masks, and the pattern is built from them
     (:meth:`NegPattern.of_masks`), unchecked, as every draw is valid. Over
     an alphabet of at most six items, equal itemsets and equal negatives
@@ -843,10 +828,10 @@ def random_sequence(
     max_itemset_size: int = 3,
 ) -> Sequence:
     """A random sequence, drawn as :func:`random_pattern` draws: the
-    standard library's draws, replayed on ``rng.getrandbits``. It is built
-    from the drawn masks (:meth:`Sequence.of_masks`), and its itemsets when
-    first read; over an alphabet of at most six items, equal itemsets are
-    one shared object."""
+    standard library's draws, replayed on ``rng.getrandbits`` over at most
+    six items. It is built from the drawn masks (:meth:`Sequence.of_masks`),
+    and its itemsets when first read; over an alphabet of at most six items,
+    equal itemsets are one shared object."""
     itemset = _itemset_draw(alphabet, 1, max_itemset_size)
     masks = tuple([itemset(rng) for _ in range(_below(rng, max_len + 1))])
     return Sequence.of_masks(masks, _SEQUENCE_TABLE if alphabet <= _TREE_ITEMS else {})

@@ -414,8 +414,12 @@ def save_database(db: SequenceDatabase, path: str) -> None:
 
 
 def csv_row(cells: Iterable[object]) -> str:
-    # Tokens cannot contain commas (reserved), so plain joining is safe.
-    return ",".join(str(cell) for cell in cells)
+    # RFC 4180: a cell that holds a comma or a double quote, as a lemma
+    # example such as e=(1, 2, 4) or a token such as a"b may, is quoted.
+    return ",".join([
+        '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
+        for text in map(str, cells)
+    ])
 
 
 def dominance_table_rows(table) -> list[list[str]]:

@@ -324,14 +324,58 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "count-window-off-by-one",
-        # The embedding count takes the previous positive's full count one
-        # index before the end of its window.
+        "count-drops-the-carried-placements",
+        # The embedding count forgets, at an itemset that holds the
+        # positive, the placements that put it at an earlier itemset.
         "negseq/matching.py",
-        "count += ways[x] if x < end else ways[end]",
-        "count += ways[x] if x < end - 1 else ways[end]",
+        "placed.append(placed[j] + ways[j] if",
+        "placed.append(ways[j] if",
         (
+            "tests/test_matching.py::TestContains::test_count_of_placements_at_its_edges",
             "tests/test_cli.py::TestMatchCommand::test_first_violator_beyond_a_million_embeddings",
+        ),
+    ),
+    Mutant(
+        "grid-shares-embedded-by-last-positive",
+        # The grid shares one positive-containment row between patterns
+        # whose last positive is the same, not whose positives are.
+        "negseq/matching.py",
+        "        if pos_masks not in embedded_by:\n"
+        "            embedded_by[pos_masks] = layout.reach(",
+        "        if pos_masks[-1:] not in embedded_by:\n"
+        "            embedded_by[pos_masks[-1:]] = layout.reach(",
+        (
+            "tests/test_matching.py::test_vertical_engine_agrees_with_theta_bits",
+            "tests/test_orders.py::TestDominanceScan::test_grid_masks_equal_pairwise_theta_bits",
+        ),
+    ),
+    Mutant(
+        "positive-cut-needs-a-positive-child",
+        # The miner counts a cut positive node only when it has a positive
+        # child, missing the negative slots of two or more positives.
+        "negseq/mining.py",
+        "if len(pos) > 1 or next(_positive_children(pos, bounds), None):",
+        "if next(_positive_children(pos, bounds), None):",
+        (
+            "tests/test_mining.py::TestPruned"
+            "::test_counts_equal_the_canonical_tree[weak-strict-partial-(2, 2, 2)]",
+            "tests/test_mining.py::TestPruned"
+            "::test_counts_equal_the_canonical_tree[strong-soft-total-(3, 1, 1)]",
+        ),
+    ),
+    Mutant(
+        "negative-cut-counts-childless-nodes",
+        # The miner counts every negative node below minsup under total
+        # non-inclusion as a cut, also one without a child.
+        "negseq/mining.py",
+        "            if next(_negative_children(neg, bounds, last_slot, last_item), None):\n"
+        "                pruned += 1\n",
+        "            pruned += 1\n",
+        (
+            "tests/test_mining.py::TestPruned"
+            "::test_counts_equal_the_canonical_tree[weak-strict-total-(2, 2, 2)]",
+            "tests/test_mining.py::TestPruned"
+            "::test_counts_equal_the_canonical_tree[strong-soft-total-(3, 1, 1)]",
         ),
     ),
     Mutant(
@@ -346,14 +390,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "sample-pool-swap-off-by-one",
-        # Above six items, the pool path of the sample replay moves the
-        # wrong entry into the drawn index.
+        "itemset-draw-size-one-short",
+        # Above six items, the itemset draw takes its size from one below
+        # the range that the standard library's draw takes it from.
         "negseq/orders.py",
-        "            pool[j] = pool[n - i - 1]\n",
-        "            pool[j] = pool[n - i - 2]\n",
+        "Itemset.of(rng.sample(range(n), rng.randint(low, high)))",
+        "Itemset.of(rng.sample(range(n), rng.randint(low, high - 1)))",
         (
-            "tests/test_orders.py::TestDrawReplay::test_sample_mask_equals_the_stdlib_sample",
             "tests/test_orders.py::TestDrawReplay::test_patterns_and_sequences_equal_the_stdlib_draws",
         ),
     ),

@@ -680,6 +680,9 @@ def _failing_reports():
                 "strong containment implies weak containment", 40, 3, "weak-soft-total"
             ),
         ),
+        "lemmas-embedding": (
+            InvariantCheck("strict embedding implies soft embedding", 40, 2, "e=(1, 2, 4)"),
+        ),
     }
 
 
@@ -730,6 +733,12 @@ _FAILURE_CASES = [
         "lemmas", "verify_invariants", "csv",
         "check,draws,failures,example\n"
         "strong containment implies weak containment,40,3,weak-soft-total\n",
+    ),
+    (
+        # An embedding example holds commas, so its cell is quoted.
+        "lemmas-embedding", "verify_invariants", "csv",
+        "check,draws,failures,example\n"
+        'strict embedding implies soft embedding,40,2,"e=(1, 2, 4)"\n',
     ),
 ]
 

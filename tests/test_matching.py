@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -648,6 +649,23 @@ class TestContains:
             assert not report.contained
             assert report.total_positive_embeddings == 0
             assert report.witness is None and report.violator is None
+
+    def test_count_of_placements_at_its_edges(self, abc_dict):
+        # On a^n, k positives <a ... a> have C(n, k) placements, none when
+        # k > n (the empty sequence included).
+        theta = Theta.parse("weak-soft-total")
+        for n in range(13):
+            s = Sequence((Itemset(1),) * n)
+            for k in range(1, n + 2):
+                p = parse_pattern("<" + " a" * k + ">", abc_dict)
+                assert contains(p, s, theta).total_positive_embeddings == math.comb(n, k)
+        # (a b) sits at 4 with 2 places before it and 3 after, or at 6
+        # with 4 before and 1 after; not at 1, which has no a before it.
+        p = parse_pattern("<a !c (a b) a>", abc_dict)
+        s = parse_sequence("(a b) a b (a b) a (a b) a", abc_dict)
+        assert len(naive_embeddings(p.positives, s)) == 2 * 3 + 4 * 1
+        for theta in THETAS:
+            assert contains(p, s, theta).total_positive_embeddings == 10
 
 
 # --- support ----------------------------------------------------------------

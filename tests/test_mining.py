@@ -1,5 +1,6 @@
 import random
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,17 +24,53 @@ from negseq import (
 from negseq.matching import _ALL_BITS, _placed, _supports, weak_strong_support
 from negseq.mining import (
     PatternBounds,
+    _negative_children,
+    _positive_children,
     enumerate_patterns,
     mine_bruteforce,
     mine_pruned,
 )
-from negseq.model import COMBOS
+from negseq.model import COMBOS, _mask_tables
 from negseq.orders import prefix_incl, neg_ext, random_pattern, random_sequence
-from negseq.textio import parse_database, parse_pattern, render_pattern
+from negseq.textio import load_database, parse_database, parse_pattern, render_pattern
 from conftest import with_random_modes
 
 TOTAL_THETAS = tuple(t for t in THETAS if t.non_inclusion is NonInclusion.TOTAL)
 WEAK_STRICT_TOTAL = Theta.parse("weak-strict-total")
+MINE_SMALL = Path(__file__).parent / "data" / "mine_small.txt"
+
+
+def _canonical_tree_stats(db, theta, minsup, bounds):
+    """(candidates, cuts) of a walk of the canonical pattern tree that
+    decides each node by its support on the per-sequence core, and stops
+    below ``minsup`` at a node without negatives, and under total
+    non-inclusion at any node. A stop is a cut when the node has a child."""
+    itemsets, negatives = _mask_tables()
+    total = theta.non_inclusion is NonInclusion.TOTAL
+    candidates = cuts = 0
+
+    def walk(pos, neg, last_slot, last_item):
+        nonlocal candidates, cuts
+        candidates += 1
+        children = [
+            (pos, child, slot, item)
+            for child, slot, item in _negative_children(neg, bounds, last_slot, last_item)
+        ]
+        if last_slot < 0:
+            children[:0] = [
+                (child, (0,) * (len(child) - 1), -1, -1)
+                for child, _, _ in _positive_children(pos, bounds)
+            ]
+        pattern = NegPattern.of_masks(pos, neg, itemsets, negatives)
+        if support(pattern, db, theta) < minsup and (last_slot < 0 or total):
+            cuts += bool(children)
+            return
+        for child in children:
+            walk(*child)
+
+    for item in bounds.alphabet:
+        walk((1 << item,), (), -1, -1)
+    return candidates, cuts
 
 
 def _space_size(alphabet, max_positives, max_itemset_size, max_neg_size):
@@ -273,6 +310,15 @@ class TestPruned:
             assert oracle.stats.candidates == _space_size(alphabet, *caps)
             assert pruned.frequent == oracle.frequent
             assert pruned.stats.candidates <= oracle.stats.candidates
+
+    @pytest.mark.parametrize("caps", [(2, 2, 2), (3, 1, 1)], ids=str)
+    @pytest.mark.parametrize("theta", THETAS, ids=lambda t: t.spell())
+    def test_counts_equal_the_canonical_tree(self, theta, caps):
+        db = load_database(str(MINE_SMALL))
+        bounds = PatternBounds(*caps, tuple(range(len(db.dictionary))))
+        stats = mine_pruned(db, theta, 6, bounds).stats
+        oracle = _canonical_tree_stats(db, theta, 6, bounds)
+        assert (stats.candidates, stats.pruned_subtrees) == oracle
 
     def test_three_step_patterns_and_strong_occurrence(self):
         rng = random.Random(99)

@@ -639,9 +639,10 @@ def stdlib_random_sequence(rng, alphabet=5, max_len=6, max_itemset_size=3):
 
 
 class TestDrawReplay:
-    """The lemma draws replay the standard library's ``randint`` and ``sample``
-    on ``getrandbits``. These tests catch a Python release that changes how
-    either draws."""
+    """Over at most six items the lemma draws replay the standard library's
+    ``randint`` and ``sample`` on ``getrandbits``; over more, the standard
+    library draws. These tests catch a Python release that changes how
+    either draws, and check that the draws over more items equal its own."""
 
     @staticmethod
     def assert_same_draw(fast, slow, draw, oracle, *args):
@@ -655,8 +656,9 @@ class TestDrawReplay:
         assert fast.getrandbits(64) == slow.getrandbits(64)
 
     def test_patterns_and_sequences_equal_the_stdlib_draws(self):
-        # Alphabets above 21 reach sample's rejection path, sizes above the
-        # alphabet its ValueError; every other bound takes each value up to 6.
+        # Alphabets up to 6 take the replay, larger ones the standard
+        # library's draws, and sizes above the alphabet sample's ValueError;
+        # every other bound takes each value up to 6.
         for seed in range(360):
             alphabet, size = 1 + seed % 30, 1 + seed // 30 % 6
             singleton = seed >= 180

@@ -1,3 +1,4 @@
+import csv
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -603,6 +604,10 @@ class TestRoundTrips:
 class TestRendering:
     def test_csv_row(self):
         assert csv_row(["a", 1, True]) == "a,1,True"
+        # A cell that holds a comma or a double quote is quoted (RFC 4180).
+        cells = ["e=(1, 2, 4)", 'a"b', "<a !(b c)>"]
+        assert csv_row(cells) == '"e=(1, 2, 4)","a""b",<a !(b c)>'
+        assert next(csv.reader([csv_row(cells)])) == cells
 
     def test_aligned_rows(self):
         text = aligned_rows([["ab", "c"], ["d", "efg"]])
