@@ -11,6 +11,11 @@ and the bruteforce miner use it. Every relation needs the positive part to
 embed, so a support count decides a pattern only in the sequences that
 :func:`_placed` finds for its positives, from the placements found there;
 the bruteforce miner finds them once for a run of candidates with the same
+positives. A slot test applies to the union of a gap's itemsets, which
+alone decides strict-partial and total; soft-partial scans the itemsets
+only where the union includes the negative. Each placed sequence keeps the
+unions that its decisions build, of the earliest placement's gaps and of
+the widest gaps, so a union is built once for every pattern with those
 positives. A decision works from a :func:`_plan`, which keeps each weak
 search's list once a search has built it; a count decides every sequence
 of a pattern from one plan. A weak decision asks only whether a passing
@@ -184,19 +189,36 @@ def _ruled_out(qmask: int, test: int, smask: int) -> int:
 
 
 def _passes(
-    p: NegPattern, test: int, seq_masks: tuple[int, ...], lo: list[int], hi: list[int]
+    p: NegPattern,
+    test: int,
+    seq_masks: tuple[int, ...],
+    lo: list[int],
+    hi: list[int],
+    unions: dict[int, int],
 ) -> bool:
     """Does every constrained slot i of ``p`` pass on the gap from ``lo[i]``
     to ``hi[i + 1]`` (0-based, exclusive)? Each slot applies ``test``, or
     its pinned mode's own. With ``lo`` and ``hi`` both one placement this
     checks that placement; with the earliest and latest ones, the widest
-    gaps."""
+    gaps.
+
+    A slot applies its test to the gap's union, which ``unions`` keeps per
+    slot for these ``lo`` and ``hi``, built the first time a slot reads it.
+    A union that rules out less than all of the negative passes under every
+    test, and one that rules out all of it fails strict-partial and total.
+    Soft-partial needs a single itemset to rule it out, so only then does
+    it scan the gap's itemsets."""
     for i, qmask, mode in p.constrained_slots:
         slot_test = _MODE_TEST[mode] if mode else test
-        covered = 0
+        union = unions.get(i)
+        if union is None:
+            union = unions[i] = reduce(or_, seq_masks[lo[i] + 1 : hi[i + 1]], 0)
+        if _ruled_out(qmask, slot_test, union) != qmask:
+            continue
+        if slot_test != 2:
+            return False
         for smask in seq_masks[lo[i] + 1 : hi[i + 1]]:
-            covered |= _ruled_out(qmask, slot_test, smask)
-            if covered == qmask:
+            if _ruled_out(qmask, slot_test, smask) == qmask:
                 return False
     return True
 
@@ -242,7 +264,7 @@ def check_embedding(
     _require_positive_embedding(e, p, seq_masks)
     test = _COMBO_TEST[COMBOS.index((embedding, nonincl))]
     index = [position - 1 for position in e]
-    return _passes(p, test, seq_masks, index, index)
+    return _passes(p, test, seq_masks, index, index, {})
 
 
 # --- the linear-time core ---------------------------------------------------
@@ -420,18 +442,21 @@ def _plan(wanted: int) -> _Plan:
     return wanted, _steps(wanted), {}
 
 
-def _decide(
-    p: NegPattern,
-    seq_masks: tuple[int, ...],
-    plan: _Plan,
-    first: list[int],
-    last: list[int] | None,
-) -> int:
+# A sequence where the positives embed, as :func:`_decide` reads it: its
+# itemsets' masks; the earliest placement of the positives and the latest,
+# which a single decision leaves None until a test needs it; and the gap
+# unions of the earliest placement and of the widest gaps, per slot, each
+# built the first time a decision reads it.
+_Placed = tuple[tuple[int, ...], list[int], list[int] | None, dict[int, int], dict[int, int]]
+
+
+def _decide(p: NegPattern, plan: _Plan, placed: _Placed) -> int:
     """Containment under each relation that ``plan`` settles, each decided
-    from its own slot test, given that the positives embed: ``first`` is
-    their earliest placement and ``last`` their latest, or None to find it
-    when a test first needs it. A count decides every sequence from one
-    :func:`_plan`, so a weak search's list is built once per pattern.
+    from its own slot test, in a sequence where the positives embed:
+    ``placed`` holds its placements and gap unions. A count decides every
+    sequence from one :func:`_plan`, so a weak search's list is built once
+    per pattern; the gap unions depend on the positives alone, so every
+    pattern with these positives reads them.
 
     Strong: every embedding passes a slot iff the widest gap any embedding
     gives it passes, from the earliest placement of the positive before the
@@ -443,14 +468,15 @@ def _decide(
     wanted, steps, searches = plan
     if not p.constrained_slots:
         return wanted
+    seq_masks, first, last, first_unions, widest_unions = placed
     pos_masks = p.positive_masks
     bits = 0
     for test, strong, weak in steps:
         if strong:
             last = last or _latest(pos_masks, seq_masks)
-            if _passes(p, test, seq_masks, first, last):
+            if _passes(p, test, seq_masks, first, last, widest_unions):
                 bits |= strong
-        if weak and not _passes(p, test, seq_masks, first, first):
+        if weak and not _passes(p, test, seq_masks, first, first, first_unions):
             last = last or _latest(pos_masks, seq_masks)
             tests = searches.get(test)
             if tests is None:
@@ -507,7 +533,7 @@ def contains(p: NegPattern, s: Sequence, theta: Theta) -> MatchReport:
     test = _COMBO_TEST[theta.combo_index]
     tests = _slot_tests(p, test)
     lexfirst = tuple(j + 1 for j in first)
-    if _passes(p, test, seq_masks, first, first):
+    if _passes(p, test, seq_masks, first, first, {}):
         witness = lexfirst
         violator = _first_failing(pos_masks, tests, seq_masks, first, last)
     else:
@@ -524,7 +550,9 @@ def is_contained(p: NegPattern, s: Sequence, theta: Theta) -> bool:
     """Boolean form of :func:`contains`, without the reporting."""
     seq_masks = s.masks
     first = _earliest(p.positive_masks, seq_masks)
-    return first is not None and _decide(p, seq_masks, _plan(1 << theta.index), first, None) != 0
+    if first is None:
+        return False
+    return _decide(p, _plan(1 << theta.index), (seq_masks, first, None, {}, {})) != 0
 
 
 def theta_bits(p: NegPattern, s: Sequence) -> int:
@@ -535,25 +563,22 @@ def theta_bits(p: NegPattern, s: Sequence) -> int:
     """
     seq_masks = s.masks
     first = _earliest(p.positive_masks, seq_masks)
-    return 0 if first is None else _decide(p, seq_masks, _plan(_ALL_BITS), first, None)
-
-
-# A sequence where the positives embed: its itemsets' masks, and their
-# earliest and latest placements.
-_Placed = tuple[tuple[int, ...], list[int], list[int]]
+    return 0 if first is None else _decide(p, _plan(_ALL_BITS), (seq_masks, first, None, {}, {}))
 
 
 def _placed(pos_masks: tuple[int, ...], sequences: tuple[Sequence, ...]) -> list[_Placed]:
     """The sequences where the positives embed, each with the placements
-    that :func:`_decide` reads. Every relation needs the positive part to
-    embed, so containment holds in none of the others, and every pattern
-    with these positives can be counted over this list."""
+    that :func:`_decide` reads and empty gap-union caches. Every relation
+    needs the positive part to embed, so containment holds in none of the
+    others, and every pattern with these positives can be counted over this
+    list; each gap union is then built once, by the first decision that
+    reads it."""
     placed = []
     for s in sequences:
         seq_masks = s.masks
         first = _earliest(pos_masks, seq_masks)
         if first is not None:
-            placed.append((seq_masks, first, _latest(pos_masks, seq_masks)))
+            placed.append((seq_masks, first, _latest(pos_masks, seq_masks), {}, {}))
     return placed
 
 
@@ -569,8 +594,8 @@ def _supports(p: NegPattern, placed: list[_Placed], wanted: int) -> list[int]:
         tally[wanted] = len(placed)
     else:
         plan = _plan(wanted)
-        for seq_masks, first, last in placed:
-            bits = _decide(p, seq_masks, plan, first, last)
+        for entry in placed:
+            bits = _decide(p, plan, entry)
             tally[bits] = tally.get(bits, 0) + 1
     counts = [0] * len(THETAS)
     for bits, count in tally.items():

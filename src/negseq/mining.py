@@ -188,7 +188,8 @@ def mine_bruteforce(
     to embed. Those sequences and the placements the decisions read are
     found once per run of candidates with the same positives; the
     enumeration yields a node's negative subtree in one run, so that is at
-    most twice per positive part.
+    most twice per positive part. The gap unions the decisions read travel
+    with the placements, so a run builds each one once.
     """
     if minsup < 1:
         raise ValueError("minsup must be at least 1")

@@ -956,13 +956,15 @@ def verify_invariants(draws: int = 10000, seed: int = 94001) -> tuple[InvariantC
 
         # The placements of the positives, as positive_embeddings lists them.
         # They are valid embeddings, so checks 2-4 test each one as
-        # check_embedding does, without the re-validation.
+        # check_embedding does, without the re-validation; the four checks of
+        # a placement share its gap unions.
         embeddings = list(_iter_embeddings(p.positive_masks, s.masks))
         for e in embeddings[:8]:
             index = [position - 1 for position in e]
+            unions: dict[int, int] = {}
             for total, strict_test, soft_test in incl_tests:
-                strict = _passes(p, strict_test, s.masks, index, index)
-                soft = _passes(p, soft_test, s.masks, index, index)
+                strict = _passes(p, strict_test, s.masks, index, index, unions)
+                soft = _passes(p, soft_test, s.masks, index, index, unions)
                 if strict and not soft:
                     record(names[1], f"e={e}")
                 if total and strict != soft:

@@ -8,7 +8,8 @@ temporary copy of ``src/``. The runner then runs the mutant's tests with
 that copy first on PYTHONPATH. A mutant is killed when every test it names
 fails; otherwise it survives. The runner first checks that the named tests
 pass on the unmutated tree, lists the survivors, and exits 1 if any mutant
-survives.
+survives. Two mutants run at a time, each in its own copy and its own
+pytest process; the verdicts print in catalogue order.
 
 Pytest does not collect this file, as its name does not start with
 ``test_``. Name only tests that import ``negseq`` in process: a test that
@@ -25,12 +26,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 HYPOTHESIS_SEED = 0
+WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -532,12 +535,71 @@ MUTANTS = (
         # so strong occurrence tests the first embedding's gaps only and the
         # weak search stops at the first placement's last positive.
         "negseq/matching.py",
-        "            placed.append((seq_masks, first, _latest(pos_masks, seq_masks)))\n",
-        "            placed.append((seq_masks, first, first))\n",
+        "            placed.append((seq_masks, first, _latest(pos_masks, seq_masks), {}, {}))\n",
+        "            placed.append((seq_masks, first, first, {}, {}))\n",
         (
             "tests/test_mining.py::test_counting_over_placements_sums_the_decisions",
             "tests/test_mining.py::TestBruteforceSharedPlacements::test_equals_the_naive_loop",
             "tests/test_mining.py::TestPruned::test_three_step_patterns_and_strong_occurrence",
+        ),
+    ),
+    Mutant(
+        "soft-partial-takes-the-union-verdict",
+        # A soft-partial slot fails where the gap's union includes the
+        # negative, with no itemset scan, as strict-partial does.
+        "negseq/matching.py",
+        "        if slot_test != 2:\n            return False\n",
+        "        return False\n",
+        (
+            "tests/test_matching.py::test_gap_unions_serve_every_pattern_with_the_same_positives",
+            "tests/test_matching.py::test_contains_agrees_with_quantifier_expansion",
+            "tests/test_matching.py::test_vertical_engine_agrees_with_theta_bits",
+            "tests/test_mining.py::TestPruned"
+            "::test_agrees_with_bruteforce_on_random_instances[strong-soft-partial]",
+        ),
+    ),
+    Mutant(
+        "strong-reads-the-first-placement-unions",
+        # A strong decision keeps the widest gaps' unions with the first
+        # placement's, so a union one reads serves the other.
+        "negseq/matching.py",
+        "_passes(p, test, seq_masks, first, last, widest_unions)",
+        "_passes(p, test, seq_masks, first, last, first_unions)",
+        (
+            "tests/test_matching.py::test_gap_unions_serve_every_pattern_with_the_same_positives",
+            "tests/test_matching.py::test_contains_agrees_with_quantifier_expansion",
+            "tests/test_matching.py::test_counts_agree_with_theta_bits_for_each_part_of_the_relations",
+            "tests/test_mining.py::test_counting_over_placements_sums_the_decisions",
+        ),
+    ),
+    Mutant(
+        "gap-unions-keyed-on-the-negative",
+        # The cache keeps a gap union under the slot's negative, so another
+        # slot with the same negative reads it.
+        "negseq/matching.py",
+        "        union = unions.get(i)\n"
+        "        if union is None:\n"
+        "            union = unions[i] = ",
+        "        union = unions.get(qmask)\n"
+        "        if union is None:\n"
+        "            union = unions[qmask] = ",
+        (
+            "tests/test_mining.py::test_counting_over_placements_sums_the_decisions",
+            "tests/test_mining.py::TestBruteforceSharedPlacements::test_equals_the_naive_loop",
+        ),
+    ),
+    Mutant(
+        "placed-sequences-share-one-cache",
+        # Every placed sequence gets the first one's gap-union caches, so a
+        # union built in one sequence serves the others.
+        "negseq/matching.py",
+        "_latest(pos_masks, seq_masks), {}, {}))\n",
+        "_latest(pos_masks, seq_masks), *(placed[0][3:] if placed else ({}, {}))))\n",
+        (
+            "tests/test_matching.py::test_gap_unions_serve_every_pattern_with_the_same_positives",
+            "tests/test_matching.py::test_counts_agree_with_theta_bits_for_each_part_of_the_relations",
+            "tests/test_mining.py::test_counting_over_placements_sums_the_decisions",
+            "tests/test_mining.py::TestBruteforceSharedPlacements::test_equals_the_naive_loop",
         ),
     ),
     Mutant(
@@ -885,6 +947,8 @@ def _covers(test: str, ids: set[str]) -> bool:
 
 def survivors(mutant: Mutant) -> list[str]:
     """The tests that ``mutant`` names and that do not fail under it."""
+    if not mutant.tests:
+        return ["(no tests named)"]
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
@@ -909,13 +973,13 @@ def main(argv: list[str]) -> int:
         print("the unmutated tree does not pass:", *broken, sep="\n  ")
         return 1
     alive = []
-    for mutant in chosen:
-        left = survivors(mutant) if mutant.tests else ["(no tests named)"]
-        print(f"{mutant.name}: {'survived' if left else 'killed'}")
-        for test in left:
-            print(f"  passes: {test}")
-        if left:
-            alive.append(mutant.name)
+    with ThreadPoolExecutor(WORKERS) as pool:
+        for mutant, left in zip(chosen, pool.map(survivors, chosen)):
+            print(f"{mutant.name}: {'survived' if left else 'killed'}", flush=True)
+            for test in left:
+                print(f"  passes: {test}")
+            if left:
+                alive.append(mutant.name)
     print(f"{len(chosen) - len(alive)} of {len(chosen)} mutants killed")
     if alive:
         print("survivors:", *alive, sep="\n  ")

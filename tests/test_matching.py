@@ -323,14 +323,16 @@ def test_contains_agrees_with_quantifier_expansion(seed):
         assert is_contained(p, s, theta) == expected
         assert bool((bits >> theta.index) & 1) == expected
     # A decision asked for part of the relations settles exactly what it
-    # wants. It finds the latest placement itself, or takes it found.
+    # wants. It finds the latest placement itself, or takes it found, and
+    # reads the gap unions that the decisions before it built.
     first = _earliest(p.positive_masks, s.masks)
     if first is None:
         assert bits == 0
         return
     for last in (None, _latest(p.positive_masks, s.masks)):
+        placed = (s.masks, first, last, {}, {})
         for wanted in ASKED:
-            assert _decide(p, s.masks, _plan(wanted), first, last) == bits & wanted
+            assert _decide(p, _plan(wanted), placed) == bits & wanted
 
 
 @settings(max_examples=150)
@@ -349,6 +351,36 @@ def test_counts_agree_with_theta_bits_for_each_part_of_the_relations(seed):
     for wanted in ASKED:
         expected = [sum((b & wanted) >> t & 1 for b in bits) for t in range(len(THETAS))]
         assert _supports(p, placed, wanted) == expected
+
+
+# Sequences for the positives <a d>. The gap of "a b c d" has a union that
+# covers (b c), though no one itemset of it does. In "a d b c d" and
+# "a d (b c) d" the first placement's gap is empty and the widest is not.
+SHARED_GAPS = ("a b c d", "a (b c) d", "a d b c d", "a d (b c) d", "a c d", "a d", "b c d")
+
+
+def test_gap_unions_serve_every_pattern_with_the_same_positives(abc_dict):
+    # One placed list serves three patterns with the same positives, each
+    # counted under every relation. The weak relations come first, so the
+    # first placement's unions are built before a strong count reads the
+    # widest gaps'. Every count equals one on fresh placements and the oracle.
+    sequences = tuple(parse_sequence(text, abc_dict) for text in SHARED_GAPS)
+    patterns = [parse_pattern(t, abc_dict) for t in ("<a !(b c) d>", "<a !b d>", "<a !|b c| d>")]
+    placed = _placed(patterns[0].positive_masks, sequences)
+    weak_first = sorted(THETAS, key=lambda theta: theta.occurrence is Occurrence.STRONG)
+    for p in patterns:
+        for theta in weak_first:
+            wanted = 1 << theta.index
+            count = _supports(p, placed, wanted)[theta.index]
+            fresh = _supports(p, _placed(p.positive_masks, sequences), wanted)[theta.index]
+            naive = sum(naive_contains(p, s, theta) for s in sequences)
+            assert count == fresh == naive, (p, theta.spell())
+    # Soft-partial passes "a b c d" and strict-partial fails it; so does
+    # total non-inclusion, which b alone rules out.
+    assert [theta.spell() for theta in THETAS if is_contained(patterns[0], sequences[0], theta)] == [
+        "strong-soft-partial",
+        "weak-soft-partial",
+    ]
 
 
 @settings(max_examples=150)

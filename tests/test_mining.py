@@ -16,6 +16,7 @@ from negseq import (
     THETAS,
     Theta,
     all_theta_supports,
+    gap_union,
     is_contained,
     positive_embeddings,
     positive_part,
@@ -235,11 +236,22 @@ def test_counting_over_placements_sums_the_decisions(seed):
         embeddings = positive_embeddings(positive_part(p), s)
         if embeddings:
             first, last = embeddings[0], embeddings[-1]
-            embedded.append((s.masks, [j - 1 for j in first], [j - 1 for j in last]))
+            embedded.append((s, [j - 1 for j in first], [j - 1 for j in last]))
     placed = _placed(p.positive_masks, db.sequences)
-    assert placed == embedded
+    assert [entry[:3] for entry in placed] == [(s.masks, f, l) for s, f, l in embedded]
     expected = tuple(_support_sequence_by_sequence(p, db, theta) for theta in THETAS)
     assert tuple(_supports(p, placed, _ALL_BITS)) == expected
+    # Every gap union the count built is the union of a gap of the first
+    # embedding, or of a widest gap: from the first embedding's positive
+    # before the slot to the last one's after it. A strong decision reads
+    # the widest gap of the first constrained slot at least.
+    for (s, first, last), (*_, first_unions, widest_unions) in zip(embedded, placed):
+        for i, union in first_unions.items():
+            assert union == gap_union(s, tuple(j + 1 for j in first), i + 1).mask
+        for i, union in widest_unions.items():
+            assert union == gap_union(s, (first[i] + 1, last[i + 1] + 1), 1).mask
+        if p.constrained_slots:
+            assert p.constrained_slots[0][0] in widest_unions
     assert all_theta_supports(p, db) == expected
     assert tuple(support(p, db, theta) for theta in THETAS) == expected
     for c, (embedding, nonincl) in enumerate(COMBOS):
