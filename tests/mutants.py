@@ -953,10 +953,7 @@ def survivors(mutant: Mutant) -> list[str]:
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         target = src / mutant.path
-        text = target.read_text()
-        if text.count(mutant.old) != 1:
-            sys.exit(f"{mutant.name}: the old text occurs {text.count(mutant.old)} times")
-        target.write_text(text.replace(mutant.old, mutant.new))
+        target.write_text(target.read_text().replace(mutant.old, mutant.new))
         _, failed = _pytest(src, list(mutant.tests))
     return [test for test in mutant.tests if not _covers(test, failed)]
 
@@ -966,6 +963,12 @@ def main(argv: list[str]) -> int:
     unknown = set(argv) - {m.name for m in MUTANTS}
     if unknown:
         sys.exit(f"unknown mutants: {', '.join(sorted(unknown))}")
+    # Checked before any mutant runs: a worker that stopped on it would
+    # leave the other worker running the rest.
+    for mutant in chosen:
+        count = (SRC / mutant.path).read_text().count(mutant.old)
+        if count != 1:
+            sys.exit(f"{mutant.name}: the old text occurs {count} times")
     tests = sorted({test for m in chosen for test in m.tests})
     passed, failed = _pytest(SRC, tests)
     broken = [t for t in tests if _covers(t, failed) or not _covers(t, passed)]
